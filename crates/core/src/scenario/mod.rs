@@ -13,10 +13,14 @@
 //!    names specs use. The paper's four policies are built in; third-party
 //!    policies register without touching core code.
 //! 3. [`Runner`] — expands and executes a batch of scenarios (in parallel by
-//!    default, one simulation per worker) and returns a [`BatchReport`] of
-//!    structured [`RunReport`]s with JSON/CSV emission. Report order follows
-//!    expansion order, so parallel and sequential execution produce
-//!    byte-identical reports.
+//!    default) and returns a [`BatchReport`] of structured [`RunReport`]s
+//!    with JSON/CSV emission. Every entry point runs one pipeline: classify
+//!    each case (cache hit, analytic table or pending simulation), chunk the
+//!    pending simulations by platform fingerprint into groups of at most
+//!    [`Runner::lanes`], and step each chunk through a
+//!    [`LaneBatch`](crate::sim::LaneBatch) under one phase scheduler. Report
+//!    order follows expansion order, so parallel, sequential and any lane
+//!    count produce byte-identical reports.
 //!
 //! Two further pieces make large sweeps cheap to re-run and distributable
 //! across processes:
@@ -28,8 +32,9 @@
 //!    ([`Runner::with_cache`]).
 //! 5. [`ShardPlan`] + [`PartialReport`] — a batch splits into `K` contiguous
 //!    shards executed by independent workers ([`Runner::run_shard`]);
-//!    [`PartialReport::merge`] reassembles the partials into a
-//!    [`BatchReport`] byte-identical to a single-process run.
+//!    [`PartialReport::merge`] checks the partials against their plans and
+//!    reassembles them through a [`BatchAssembler`] into a [`BatchReport`]
+//!    byte-identical to a single-process run.
 //! 6. [`expand_work`] + [`BatchAssembler`] (the [`queue`] module) — the
 //!    lease-friendly view of the same expansion: an indexed work list plus an
 //!    out-of-order, duplicate-tolerant collector. These are the building

@@ -14,6 +14,7 @@
 //!   possibly duplicated per-index [`RunReport`]s that produces a
 //!   [`BatchReport`] byte-identical to a single-process
 //!   [`Runner::run`](super::Runner::run) once every slot is filled.
+//!   [`PartialReport::merge`] assembles shard partials through it as well.
 //!
 //! Both sides of a distributed run agree on the work list by comparing
 //! [`batch_digest`] (carried in the handshake), never by shipping specs.
@@ -70,13 +71,18 @@ impl BatchAssembler {
     ///
     /// Returns [`SimError::Spec`] when a spec cannot be hashed.
     pub fn new(specs: &[ScenarioSpec]) -> Result<Self, SimError> {
-        let digest = batch_digest(specs)?;
         let total = expand_batch(specs).len();
-        Ok(BatchAssembler {
-            batch: digest.to_hex(),
+        Ok(Self::for_digest(batch_digest(specs)?.to_hex(), total))
+    }
+
+    /// An empty assembler for the batch with digest `batch` and `total`
+    /// scenarios.
+    pub(crate) fn for_digest(batch: String, total: usize) -> Self {
+        BatchAssembler {
+            batch,
             slots: vec![None; total],
             filled: 0,
-        })
+        }
     }
 
     /// The batch content digest (hex), as exchanged in coordination

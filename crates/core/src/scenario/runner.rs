@@ -1,26 +1,30 @@
 //! Batch execution of scenarios.
 //!
 //! A [`Runner`] expands the sweep axes of a batch of [`ScenarioSpec`]s into
-//! concrete runs, executes them — in parallel by default, one [`Simulation`]
-//! per worker — and returns a [`BatchReport`] of structured [`RunReport`]s
-//! with JSON and CSV emission. Report order follows expansion order
-//! regardless of execution order, so a parallel batch is byte-identical to a
-//! sequential one.
+//! concrete runs, executes them — in parallel by default — and returns a
+//! [`BatchReport`] of structured [`RunReport`]s with JSON and CSV emission.
+//! Report order follows expansion order regardless of execution order, so a
+//! parallel batch is byte-identical to a sequential one.
 //!
-//! Two orthogonal extensions make re-running sweeps cheap and batches
-//! distributable:
+//! Every entry point ([`Runner::run`], [`Runner::run_spec`],
+//! [`Runner::run_batched`], [`Runner::run_one`], [`Runner::run_shard`]) feeds
+//! the same pipeline:
 //!
-//! * **Caching** ([`Runner::with_cache`]) — before building a simulation the
-//!   runner looks the run up in a [`RunCache`] under its
-//!   [`ScenarioHash`]; hits are returned
-//!   directly (re-labelled for the requesting spec) and misses are stored
-//!   after execution. A warm re-run of a fully cached batch performs zero
-//!   simulations. [`Runner::stats`] reports the hit/simulate counts.
-//! * **Sharding** ([`Runner::run_shard`]) — executes one contiguous slice of
-//!   the expanded batch and returns a
-//!   [`PartialReport`]; merging a complete
-//!   set of partials reproduces the single-process [`BatchReport`]
-//!   byte-for-byte.
+//! 1. **Classify** each expanded case. With a cache
+//!    ([`Runner::with_cache`]) it is looked up in the [`RunCache`] under its
+//!    [`ScenarioHash`] first; a hit is returned directly, re-labelled for the
+//!    requesting spec. An analytic table is computed and stored. Anything
+//!    else is a pending simulation.
+//! 2. **Chunk** the pending simulations by platform fingerprint into groups of
+//!    at most [`Runner::lanes`] — one case per chunk at one lane.
+//! 3. **Step** each chunk through a [`LaneBatch`] under one phase scheduler,
+//!    then report every lane and store it in the cache.
+//!
+//! A warm re-run of a fully cached batch therefore performs zero simulations;
+//! [`Runner::stats`] reports the hit/simulate counts. Sharding
+//! ([`Runner::run_shard`]) executes one contiguous slice of the expanded
+//! batch and returns a [`PartialReport`]; merging a complete set of partials
+//! reproduces the single-process [`BatchReport`] byte-for-byte.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -45,7 +49,6 @@ use crate::scenario::spec::{AnalysisKind, ScenarioSpec, TraceSpec};
 use crate::sim::{step_count, LaneBatch, SimMetrics, Simulation};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Executes batches of scenarios and collects their reports.
@@ -56,18 +59,14 @@ pub struct Runner {
     parallel: bool,
     cache: Option<Arc<dyn RunCache>>,
     trace_dir: Option<Arc<PathBuf>>,
-    counters: Arc<RunnerCounters>,
-    /// Lanes per [`LaneBatch`] when executing simulation misses batched
-    /// (1 = the classic one-simulation-per-run path).
+    /// Lanes per [`LaneBatch`] chunk (1 = one simulation per chunk).
     lanes: usize,
-    metrics: Option<RunnerMetrics>,
-}
-
-#[derive(Debug, Default)]
-struct RunnerCounters {
-    simulated: AtomicU64,
-    analytic: AtomicU64,
-    cache_hits: AtomicU64,
+    /// Detached handles until [`with_metrics`](Self::with_metrics) swaps in
+    /// registered ones; [`stats`](Self::stats) reads them either way.
+    metrics: RunnerMetrics,
+    /// Whether simulations carry [`SimMetrics`]: only once metrics were
+    /// requested, so the default step loop performs no atomic updates.
+    metered: bool,
 }
 
 /// Cumulative execution counters of a [`Runner`] (shared by its clones).
@@ -105,6 +104,9 @@ pub struct RunnerMetrics {
     /// Runs executed rather than answered from the cache — simulated or
     /// analytic, mirroring [`RunnerStats::misses`] (`runner.cache_misses`).
     pub cache_misses: Counter,
+    /// The analytic tables among the misses, mirroring
+    /// [`RunnerStats::analytic`] (`runner.analytic`).
+    pub analytic: Counter,
     /// Simulations per [`LaneBatch`] chunk (`runner.lane_occupancy`).
     pub lane_occupancy: Histogram,
     /// Per-simulation hot-path instruments, attached to every simulation
@@ -120,6 +122,7 @@ impl RunnerMetrics {
             scenarios_completed: registry.counter("runner.scenarios_completed"),
             cache_hits: registry.counter("runner.cache_hits"),
             cache_misses: registry.counter("runner.cache_misses"),
+            analytic: registry.counter("runner.analytic"),
             lane_occupancy: registry
                 .histogram("runner.lane_occupancy", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
             sim: SimMetrics::register(registry),
@@ -137,9 +140,9 @@ impl Runner {
             parallel: true,
             cache: None,
             trace_dir: None,
-            counters: Arc::default(),
             lanes: 1,
-            metrics: None,
+            metrics: RunnerMetrics::register(&MetricsRegistry::new()),
+            metered: false,
         }
     }
 
@@ -209,14 +212,14 @@ impl Runner {
     }
 
     /// Steps up to `lanes` simulation misses in lockstep through a shared
-    /// [`LaneBatch`] instead of one simulation per run (values below 1 are
-    /// clamped to 1, the classic path).
+    /// [`LaneBatch`] instead of one simulation per chunk (values below 1 are
+    /// clamped to 1).
     ///
     /// Batching only groups runs that share a platform fingerprint
     /// (platform, package/solver, time step, step count); everything
     /// observable — reports, CSV, cache entries under the same
-    /// [`ScenarioHash`] domain, `.tbptrace` files — is byte-identical to the
-    /// per-scenario path, because each lane performs the exact same
+    /// [`ScenarioHash`] domain, `.tbptrace` files — is byte-identical at
+    /// every lane count, because each lane performs the exact same
     /// floating-point work (see [`LaneBatch`]). Runs whose platform cannot
     /// be batched fall back to individual stepping automatically.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
@@ -232,21 +235,26 @@ impl Runner {
     /// Publishes live progress through `metrics` while batches execute:
     /// scenario totals/completions, cache hits/misses, lane occupancy, and
     /// the per-simulation step/migration/reconfiguration counters. Reports
-    /// and cache entries stay byte-identical — the handles are written, not
-    /// read.
+    /// and cache entries stay byte-identical. [`stats`](Self::stats) reads
+    /// these handles from now on, so counts made before the call are left
+    /// behind with the old handles.
     pub fn with_metrics(mut self, metrics: RunnerMetrics) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
+        self.metered = true;
         self
     }
 
     /// Cumulative execution counters: how many runs were simulated, computed
-    /// analytically, or answered from the cache. Counters are shared with
-    /// clones of this runner and accumulate across [`run`](Self::run) calls.
+    /// analytically, or answered from the cache. They are read from the
+    /// runner's [`RunnerMetrics`], so they are shared with clones of this
+    /// runner (and with any runner registered in the same registry) and
+    /// accumulate across [`run`](Self::run) calls.
     pub fn stats(&self) -> RunnerStats {
+        let analytic = self.metrics.analytic.get();
         RunnerStats {
-            simulated: self.counters.simulated.load(Ordering::Relaxed),
-            analytic: self.counters.analytic.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
+            simulated: self.metrics.cache_misses.get().saturating_sub(analytic),
+            analytic,
+            cache_hits: self.metrics.cache_hits.get(),
         }
     }
 
@@ -254,8 +262,8 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Returns the first error in expansion order; runs that already
-    /// completed are discarded.
+    /// Returns the error of the earliest failing run in expansion order;
+    /// runs that completed are discarded (but stay cached).
     ///
     /// # Example
     ///
@@ -274,8 +282,7 @@ impl Runner {
     /// # }
     /// ```
     pub fn run(&self, specs: &[ScenarioSpec]) -> Result<BatchReport, SimError> {
-        let cases = expand_batch(specs);
-        let reports = self.execute(cases)?;
+        let reports = self.execute(&expand_batch(specs))?;
         Ok(BatchReport { reports })
     }
 
@@ -304,17 +311,15 @@ impl Runner {
         specs: &[ScenarioSpec],
         plan: ShardPlan,
     ) -> Result<PartialReport, SimError> {
-        let mut cases = expand_batch(specs);
-        let total = cases.len();
+        let cases = expand_batch(specs);
         let batch = ScenarioHash::of_batch(cases.iter().map(|(g, c)| (g.as_str(), c)))?;
-        let range = plan.range(total);
-        let slice: Vec<(String, ScenarioSpec)> = cases.drain(range.clone()).collect();
-        let reports = self.execute(slice)?;
+        let range = plan.range(cases.len());
+        let reports = self.execute(&cases[range.clone()])?;
         Ok(PartialReport {
             shard_index: plan.index(),
             shard_count: plan.count(),
             start: range.start,
-            total,
+            total: cases.len(),
             batch: batch.to_hex(),
             reports,
         })
@@ -336,316 +341,207 @@ impl Runner {
         self.clone().with_lanes(lanes).run(specs)
     }
 
-    /// Executes concrete cases (in parallel when enabled), preserving order.
-    fn execute(&self, cases: Vec<(String, ScenarioSpec)>) -> Result<Vec<RunReport>, SimError> {
-        if let Some(metrics) = &self.metrics {
-            metrics.scenarios_total.set(cases.len() as f64);
-        }
-        if self.lanes > 1 {
-            return self.execute_batched(cases);
-        }
-        let results: Vec<Result<RunReport, SimError>> = if self.parallel {
-            cases
-                .into_par_iter()
-                .map(|(group, case)| self.run_case(group, &case))
-                .collect()
-        } else {
-            cases
-                .iter()
-                .map(|(group, case)| self.run_case(group.clone(), case))
-                .collect()
-        };
-        let mut reports = Vec::with_capacity(results.len());
-        for result in results {
-            reports.push(result?);
-        }
-        Ok(reports)
-    }
-
     /// Executes one concrete (already expanded) scenario of the named group —
     /// the single-case entry point used by lease-granting distributed
-    /// coordinators (see [`queue`](super::queue)), identical in every way
-    /// (cache lookups, metrics, label re-stamping) to how [`run`](Self::run)
-    /// executes that same case.
+    /// coordinators (see [`queue`](super::queue)). It is a batch of one
+    /// through the same pipeline as [`run`](Self::run), so cache lookups,
+    /// metrics and label re-stamping are identical.
     ///
     /// # Errors
     ///
     /// See [`run`](Self::run).
     pub fn run_one(&self, group: &str, case: &ScenarioSpec) -> Result<RunReport, SimError> {
-        self.run_case(group.to_string(), case)
+        let mut reports = self.execute(&[(group.to_string(), case.clone())])?;
+        Ok(reports.remove(0))
     }
 
-    /// Executes one concrete (already expanded) scenario of the named group,
-    /// consulting the cache first when one is configured.
-    fn run_case(&self, group: String, case: &ScenarioSpec) -> Result<RunReport, SimError> {
-        let key = match &self.cache {
-            Some(cache) => {
-                let key = ScenarioHash::of(case)?;
-                if let Some(mut report) = cache.load(&key) {
-                    // The hash covers semantic content only; re-stamp the
-                    // labels so a renamed scenario reuses its cached runs.
-                    report.scenario = case.name.clone();
-                    report.group = group;
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(metrics) = &self.metrics {
-                        metrics.cache_hits.inc();
-                        metrics.scenarios_completed.inc();
-                    }
-                    return Ok(report);
+    /// The pipeline behind every entry point: classify, chunk, step.
+    /// Returns the reports in `cases` order, or the error of the earliest
+    /// failing case.
+    fn execute(&self, cases: &[(String, ScenarioSpec)]) -> Result<Vec<RunReport>, SimError> {
+        self.metrics.scenarios_total.set(cases.len() as f64);
+        let mut outcomes = Vec::with_capacity(cases.len());
+        let classify = |case: &_| self.classify(case).unwrap_or_else(Outcome::Failed);
+        self.map(cases, classify, |o| outcomes.push(o));
+
+        // Group the pending simulations by lane fingerprint, in expansion
+        // order within a group, then cut each group into chunks of at most
+        // `self.lanes`. Folding t = 0 phases touches neither platform nor
+        // schedule, so the unfolded case has the fingerprint of the folded
+        // one.
+        let mut groups: Vec<(String, Vec<PendingCase>)> = Vec::new();
+        for (idx, outcome) in outcomes.iter().enumerate() {
+            if let Outcome::Pending(key) = *outcome {
+                let print = lane_fingerprint(&cases[idx].1);
+                match groups.iter_mut().find(|(p, _)| *p == print) {
+                    Some((_, members)) => members.push((idx, key)),
+                    None => groups.push((print, vec![(idx, key)])),
                 }
-                Some((cache, key))
             }
-            None => None,
-        };
-        let report = if let Some(kind) = case.analysis {
-            self.counters.analytic.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &self.metrics {
-                metrics.cache_misses.inc();
-                metrics.scenarios_completed.inc();
+        }
+        let chunks: Vec<_> = groups
+            .iter()
+            .flat_map(|(_, members)| members.chunks(self.lanes))
+            .collect();
+        let run = |chunk: &&[PendingCase]| self.run_chunk(cases, chunk);
+        self.map(&chunks, run, |stepped| {
+            for (idx, outcome) in stepped {
+                outcomes[idx] = outcome;
             }
-            RunReport {
-                scenario: case.name.clone(),
-                group,
-                policy: None,
-                workload: None,
-                package: None,
-                threshold: None,
-                queue_capacity: None,
-                outcome: RunOutcome::Table(kind.compute()),
+        });
+        // Copied into a fresh vector, not collected in place: reusing the
+        // outcome buffer leaves the allocator no freed block for what the
+        // caller builds next (with glibc malloc, collecting in place raised
+        // the `warm_rerun` benchmark's peak RSS by 6%).
+        let mut reports = Vec::with_capacity(outcomes.len());
+        for outcome in outcomes {
+            match outcome {
+                Outcome::Done(report) => reports.push(report),
+                Outcome::Failed(e) => return Err(e),
+                Outcome::Pending(_) => unreachable!("every pending case runs in one chunk"),
             }
+        }
+        Ok(reports)
+    }
+
+    /// Runs `f` over `items` — on the rayon pool when the runner is
+    /// parallel, one item at a time on this thread otherwise — and hands
+    /// every result to `sink` in the order of `items`.
+    fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync, sink: impl FnMut(R)) {
+        if self.parallel {
+            let items: Vec<&T> = items.iter().collect();
+            let results: Vec<R> = items.into_par_iter().map(&f).collect();
+            results.into_iter().for_each(sink);
         } else {
-            // Phases firing at t = 0 fold into the static sections first
-            // (applying a delta before the first step is equivalent to
-            // starting with it), so a phased spec whose only delta fires at
-            // t = 0 runs — and reports — exactly like its static equivalent.
+            items.iter().map(f).for_each(sink);
+        }
+    }
+
+    /// Resolves a case without simulating when it can: a cache hit (the hash
+    /// covers semantic content only, so the labels are re-stamped and a
+    /// renamed scenario reuses its cached runs) or an analytic table.
+    /// Anything else is a pending simulation carrying its cache key.
+    fn classify(&self, (group, case): &(String, ScenarioSpec)) -> Result<Outcome, SimError> {
+        let mut key = None;
+        if let Some(cache) = &self.cache {
+            let hash = ScenarioHash::of(case)?;
+            if let Some(mut report) = cache.load(&hash) {
+                report.scenario = case.name.clone();
+                report.group = group.clone();
+                self.metrics.cache_hits.inc();
+                self.metrics.scenarios_completed.inc();
+                return Ok(Outcome::Done(report));
+            }
+            key = Some(hash);
+        }
+        let Some(kind) = case.analysis else {
+            return Ok(Outcome::Pending(key));
+        };
+        let report = RunReport {
+            scenario: case.name.clone(),
+            group: group.clone(),
+            policy: None,
+            workload: None,
+            package: None,
+            threshold: None,
+            queue_capacity: None,
+            outcome: RunOutcome::Table(kind.compute()),
+        };
+        let report = self.finish(report, key.as_ref());
+        self.metrics.analytic.inc();
+        Ok(Outcome::Done(report))
+    }
+
+    /// Builds, steps and reports one chunk of pending simulations that share
+    /// a lane fingerprint: one outcome per member, tagged with its index in
+    /// the batch. A member that fails to fold, build or attach its trace
+    /// leaves the chunk with its own error while the rest still run, so the
+    /// batch can report its earliest failing case.
+    fn run_chunk(
+        &self,
+        cases: &[(String, ScenarioSpec)],
+        chunk: &[PendingCase],
+    ) -> Vec<(usize, Outcome)> {
+        self.metrics.lane_occupancy.observe(chunk.len() as f64);
+        // Phases firing at t = 0 fold into the static sections first
+        // (applying a delta before the first step is equivalent to starting
+        // with it), so a phased spec whose only delta fires at t = 0 runs —
+        // and reports — exactly like its static equivalent.
+        let build = |case: &ScenarioSpec| -> Result<(ScenarioSpec, Simulation), SimError> {
             let folded = case.fold_initial_phases()?;
-            let mut sim: Simulation =
-                folded.build_with_registries(&self.registry, self.workloads.clone())?;
+            let mut sim = folded.build_with_registries(&self.registry, self.workloads.clone())?;
             sim.set_policy_registry(self.registry.clone());
-            if let Some(metrics) = &self.metrics {
-                sim.attach_metrics(metrics.sim.clone());
+            if self.metered {
+                sim.attach_metrics(self.metrics.sim.clone());
             }
             if let Some(dir) = &self.trace_dir {
                 attach_file_sink(&mut sim, dir, &case.name, case.trace.as_ref())?;
             }
-            run_phased(&mut sim, &folded)?;
-            sim.detach_trace_sink()?;
-            self.counters.simulated.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &self.metrics {
-                metrics.cache_misses.inc();
-                metrics.scenarios_completed.inc();
-            }
-            RunReport {
-                scenario: case.name.clone(),
-                group,
-                policy: Some(folded.policy_spec().name),
-                workload: Some(folded.workload_label()),
-                package: Some(folded.package_kind()),
-                threshold: Some(folded.threshold()),
-                queue_capacity: folded.queue_capacity(),
-                outcome: RunOutcome::Simulation(Box::new(sim.summary())),
-            }
-        };
-        if let Some((cache, key)) = key {
-            cache.store(&key, &report);
-        }
-        Ok(report)
-    }
-
-    /// Lane-batched form of [`execute`](Self::execute): answers cache hits
-    /// and analytic tables exactly like the per-case path, groups the
-    /// remaining simulation misses by platform fingerprint, and steps each
-    /// group through [`LaneBatch`]es of up to `self.lanes` simulations.
-    /// Reports come back in expansion order regardless of grouping.
-    fn execute_batched(
-        &self,
-        cases: Vec<(String, ScenarioSpec)>,
-    ) -> Result<Vec<RunReport>, SimError> {
-        // Pass 1 — cheap outcomes (cache hits, analytic tables) inline;
-        // simulation misses become pending lane work.
-        let mut slots: Vec<Option<RunReport>> = Vec::with_capacity(cases.len());
-        slots.resize_with(cases.len(), || None);
-        let mut pending: Vec<PendingLane> = Vec::new();
-        for (idx, (group, case)) in cases.into_iter().enumerate() {
-            let key = match &self.cache {
-                Some(cache) => {
-                    let key = ScenarioHash::of(&case)?;
-                    if let Some(mut report) = cache.load(&key) {
-                        report.scenario = case.name.clone();
-                        report.group = group;
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        if let Some(metrics) = &self.metrics {
-                            metrics.cache_hits.inc();
-                            metrics.scenarios_completed.inc();
-                        }
-                        slots[idx] = Some(report);
-                        continue;
-                    }
-                    Some(key)
-                }
-                None => None,
-            };
-            if let Some(kind) = case.analysis {
-                self.counters.analytic.fetch_add(1, Ordering::Relaxed);
-                if let Some(metrics) = &self.metrics {
-                    metrics.cache_misses.inc();
-                    metrics.scenarios_completed.inc();
-                }
-                let report = RunReport {
-                    scenario: case.name.clone(),
-                    group,
-                    policy: None,
-                    workload: None,
-                    package: None,
-                    threshold: None,
-                    queue_capacity: None,
-                    outcome: RunOutcome::Table(kind.compute()),
-                };
-                if let (Some(cache), Some(key)) = (&self.cache, &key) {
-                    cache.store(key, &report);
-                }
-                slots[idx] = Some(report);
-                continue;
-            }
-            let folded = case.fold_initial_phases()?;
-            pending.push(PendingLane {
-                idx,
-                group,
-                case,
-                folded,
-                key,
-            });
-        }
-
-        // Group misses by platform fingerprint (preserving expansion order
-        // within each group — grouping must not reorder reports), then cut
-        // each group into chunks of at most `self.lanes`.
-        let mut groups: Vec<(String, Vec<PendingLane>)> = Vec::new();
-        for p in pending {
-            let print = lane_fingerprint(&p.folded);
-            match groups.iter_mut().find(|(g, _)| *g == print) {
-                Some((_, members)) => members.push(p),
-                None => groups.push((print, vec![p])),
-            }
-        }
-        let mut chunks: Vec<Vec<PendingLane>> = Vec::new();
-        for (_, mut members) in groups {
-            while !members.is_empty() {
-                let rest = members.split_off(members.len().min(self.lanes));
-                chunks.push(std::mem::replace(&mut members, rest));
-            }
-        }
-
-        // Execute the chunks; attribute a chunk-level error to its first
-        // case so the earliest error in expansion order wins, like the
-        // per-case path.
-        type ChunkResult = Result<Vec<(usize, RunReport)>, (usize, SimError)>;
-        let to_result = |chunk: Vec<PendingLane>| -> ChunkResult {
-            let first_idx = chunk[0].idx;
-            self.run_lane_chunk(chunk).map_err(|e| (first_idx, e))
-        };
-        let results: Vec<ChunkResult> = if self.parallel {
-            chunks.into_par_iter().map(to_result).collect()
-        } else {
-            chunks.into_iter().map(to_result).collect()
-        };
-        let mut first_err: Option<(usize, SimError)> = None;
-        for result in results {
-            match result {
-                Ok(reports) => {
-                    for (idx, report) in reports {
-                        slots[idx] = Some(report);
-                    }
-                }
-                Err((idx, e)) => {
-                    if first_err.as_ref().is_none_or(|(i, _)| idx < *i) {
-                        first_err = Some((idx, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("every case produced a report"))
-            .collect())
-    }
-
-    /// Builds, steps, and reports one chunk of simulation misses that share
-    /// a platform fingerprint. Uses a [`LaneBatch`] when the platforms
-    /// verify as identical; otherwise falls back to stepping the already
-    /// built simulations individually (byte-identical either way).
-    fn run_lane_chunk(&self, chunk: Vec<PendingLane>) -> Result<Vec<(usize, RunReport)>, SimError> {
-        if let Some(metrics) = &self.metrics {
-            metrics.lane_occupancy.observe(chunk.len() as f64);
-        }
-        let mut sims = Vec::with_capacity(chunk.len());
-        for p in &chunk {
-            let mut sim: Simulation = p
-                .folded
-                .build_with_registries(&self.registry, self.workloads.clone())?;
-            sim.set_policy_registry(self.registry.clone());
-            if let Some(metrics) = &self.metrics {
-                sim.attach_metrics(metrics.sim.clone());
-            }
-            if let Some(dir) = &self.trace_dir {
-                attach_file_sink(&mut sim, dir, &p.case.name, p.case.trace.as_ref())?;
-            }
-            sims.push(sim);
-        }
-        let sims = match LaneBatch::new(sims) {
-            Ok(mut batch) => {
-                run_phased_batch(&mut batch, &chunk)?;
-                batch.into_lanes()
-            }
-            Err(build_err) => {
-                let mut sims = build_err.sims;
-                for (sim, p) in sims.iter_mut().zip(&chunk) {
-                    run_phased(sim, &p.folded)?;
-                }
-                sims
-            }
+            Ok((folded, sim))
         };
         let mut out = Vec::with_capacity(chunk.len());
-        for (mut sim, p) in sims.into_iter().zip(chunk) {
-            sim.detach_trace_sink()?;
-            self.counters.simulated.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &self.metrics {
-                metrics.cache_misses.inc();
-                metrics.scenarios_completed.inc();
+        let (mut members, mut folded, mut sims) = (Vec::new(), Vec::new(), Vec::new());
+        for &(idx, key) in chunk {
+            match build(&cases[idx].1) {
+                Ok((spec, sim)) => {
+                    members.push((idx, key));
+                    folded.push(spec);
+                    sims.push(sim);
+                }
+                Err(e) => out.push((idx, Outcome::Failed(e))),
             }
-            let report = RunReport {
-                scenario: p.case.name.clone(),
-                group: p.group,
-                policy: Some(p.folded.policy_spec().name),
-                workload: Some(p.folded.workload_label()),
-                package: Some(p.folded.package_kind()),
-                threshold: Some(p.folded.threshold()),
-                queue_capacity: p.folded.queue_capacity(),
-                outcome: RunOutcome::Simulation(Box::new(sim.summary())),
-            };
-            if let (Some(cache), Some(key)) = (&self.cache, &p.key) {
-                cache.store(key, &report);
-            }
-            out.push((p.idx, report));
         }
-        Ok(out)
+        let mut errors = vec![None; sims.len()];
+        let sims = step_lanes(sims, &folded, &mut errors);
+        for ((((idx, key), mut sim), spec), error) in
+            members.into_iter().zip(sims).zip(&folded).zip(errors)
+        {
+            let (group, case) = &cases[idx];
+            let outcome = match error.map_or_else(|| sim.detach_trace_sink(), Err) {
+                Err(e) => Outcome::Failed(e),
+                Ok(()) => {
+                    let report = RunReport {
+                        scenario: case.name.clone(),
+                        group: group.clone(),
+                        policy: Some(spec.policy_spec().name),
+                        workload: Some(spec.workload_label()),
+                        package: Some(spec.package_kind()),
+                        threshold: Some(spec.threshold()),
+                        queue_capacity: spec.queue_capacity(),
+                        outcome: RunOutcome::Simulation(Box::new(sim.summary())),
+                    };
+                    Outcome::Done(self.finish(report, key.as_ref()))
+                }
+            };
+            out.push((idx, outcome));
+        }
+        out
+    }
+
+    /// Stores a freshly executed report under its cache key and counts it
+    /// as a completed miss.
+    fn finish(&self, report: RunReport, key: Option<&ScenarioHash>) -> RunReport {
+        if let (Some(cache), Some(key)) = (&self.cache, key) {
+            cache.store(key, &report);
+        }
+        self.metrics.cache_misses.inc();
+        self.metrics.scenarios_completed.inc();
+        report
     }
 }
 
-/// A simulation miss awaiting lane-batched execution.
-struct PendingLane {
-    /// Position in the expanded batch (report order).
-    idx: usize,
-    group: String,
-    /// The original expanded case (labels, trace table).
-    case: ScenarioSpec,
-    /// The case with t = 0 phases folded in — what actually builds and runs.
-    folded: ScenarioSpec,
-    /// Cache key computed in pass 1, stored after the simulation completes.
-    key: Option<ScenarioHash>,
+/// A pending simulation: its index in the batch and the cache key to store
+/// its report under.
+type PendingCase = (usize, Option<ScenarioHash>);
+
+/// Where one case stands in [`Runner::execute`].
+enum Outcome {
+    /// Answered: a cache hit, an analytic table or a finished simulation.
+    Done(RunReport),
+    /// A simulation still to run, with the key to store its report under.
+    Pending(Option<ScenarioHash>),
+    /// The case failed.
+    Failed(SimError),
 }
 
 /// Coarse grouping key for lane batching: runs may share a [`LaneBatch`]
@@ -653,76 +549,103 @@ struct PendingLane {
 /// The fingerprint is an efficiency pre-filter — [`LaneBatch::new`] verifies
 /// the built thermal platforms field-for-field and incompatible chunks fall
 /// back to individual stepping, so a collision cannot corrupt results.
-fn lane_fingerprint(folded: &ScenarioSpec) -> String {
-    let schedule = folded.schedule();
+fn lane_fingerprint(case: &ScenarioSpec) -> String {
+    let schedule = case.schedule();
     format!(
         "{:?}|{:?}|{:x}|{}",
-        folded.platform,
-        folded.package_kind(),
+        case.platform,
+        case.package_kind(),
         schedule.time_step.as_secs().to_bits(),
-        step_count(folded.total_duration(), schedule.time_step),
+        step_count(case.total_duration(), schedule.time_step),
     )
 }
 
-/// Lane-batched form of [`run_phased`]: advances all lanes in lockstep,
-/// pausing at every step index where any lane has a phase due and applying
-/// that lane's deltas there — exactly where [`run_phased`] would apply them
-/// when stepping the lane alone. Per-lane phase lists are truncated at the
-/// first phase due at or past the end of the run, mirroring [`run_phased`]'s
-/// early `break` (later phases never fire, even out-of-order ones).
-fn run_phased_batch(batch: &mut LaneBatch, chunk: &[PendingLane]) -> Result<(), SimError> {
-    let dt = batch.time_step();
-    let total_steps = step_count(chunk[0].folded.total_duration(), dt);
-    // The fingerprint groups by step count; re-verify rather than trust it.
-    if let Some(p) = chunk
-        .iter()
-        .find(|p| step_count(p.folded.total_duration(), dt) != total_steps)
-    {
-        return Err(SimError::InvalidConfig(format!(
-            "lane batch step counts diverge (case `{}`)",
-            p.case.name
-        )));
-    }
-    // Per lane: remaining (due step, delta) pairs plus a cursor.
-    let mut cursors: Vec<(Vec<(u64, crate::scenario::spec::SpecDelta)>, usize)> = chunk
-        .iter()
-        .map(|p| {
-            let mut list = Vec::new();
-            if let Some(phases) = &p.folded.phases {
-                for phase in phases {
-                    let due = step_count(Seconds::new(phase.at), dt);
-                    if due >= total_steps {
-                        break;
-                    }
-                    list.push((due, phase.delta()));
-                }
+/// Steps `sims` to the end of their runs through one [`LaneBatch`] and hands
+/// them back in order. When the lane kernel finds their thermal platforms
+/// differ (the fingerprint only pre-filters), each simulation steps as a
+/// batch of its own under the same scheduler.
+fn step_lanes(
+    sims: Vec<Simulation>,
+    specs: &[ScenarioSpec],
+    errors: &mut [Option<SimError>],
+) -> Vec<Simulation> {
+    match LaneBatch::new(sims) {
+        Ok(mut batch) => {
+            run_phased(&mut batch, specs, errors);
+            batch.into_lanes()
+        }
+        Err(mismatch) if mismatch.sims.len() > 1 => {
+            let mut sims = Vec::with_capacity(specs.len());
+            for ((sim, spec), error) in mismatch.sims.into_iter().zip(specs).zip(errors) {
+                let (spec, error) = (std::slice::from_ref(spec), std::slice::from_mut(error));
+                sims.extend(step_lanes(vec![sim], spec, error));
             }
-            (list, 0)
+            sims
+        }
+        // Nothing to step (every member failed to build), or a lone
+        // simulation the batch refused: that one fails with the refusal.
+        Err(mismatch) => {
+            for error in errors.iter_mut() {
+                error.get_or_insert_with(|| mismatch.source.clone());
+            }
+            mismatch.sims
+        }
+    }
+}
+
+/// The phase scheduler: steps every lane of `batch` to the end of its run,
+/// applying each lane's phase deltas just before their due steps.
+///
+/// Due steps are *step counts* computed from the declared phase times — not
+/// accumulated elapsed time, whose float error would make boundary placement
+/// depend on execution history — so phased runs are deterministic and a lane
+/// without phases steps exactly as [`Simulation::run_for`] would. A lane's
+/// phases stop at the first one due at or past the end of the run: it and
+/// every later phase never fire. The lanes advance in lockstep, pausing at
+/// every step where any lane has a delta due; they share a step count
+/// because the lane fingerprint includes it.
+///
+/// A lane whose delta fails records the error in `errors` and steps on
+/// unchanged (a rejected delta changes nothing), so the other lanes finish;
+/// a failed step fails every lane still without an error.
+fn run_phased(batch: &mut LaneBatch, specs: &[ScenarioSpec], errors: &mut [Option<SimError>]) {
+    let dt = batch.time_step();
+    let total = step_count(specs[0].total_duration(), dt);
+    // Per lane: its phases paired with their due steps, in declared order.
+    let mut lanes: Vec<_> = specs
+        .iter()
+        .map(|spec| {
+            let phases = spec.phases.iter().flatten();
+            let due = phases.map(|phase| (step_count(Seconds::new(phase.at), dt), phase));
+            due.take_while(|&(due, _)| due < total).peekable()
         })
         .collect();
-    let mut done: u64 = 0;
+    let mut done = 0;
     loop {
-        for (lane, (list, next)) in cursors.iter_mut().enumerate() {
-            while *next < list.len() && list[*next].0 <= done {
-                batch
-                    .lane_mut(lane)
-                    .expect("lane index within batch")
-                    .apply_delta(&list[*next].1)?;
-                *next += 1;
+        for (lane, phases) in lanes.iter_mut().enumerate() {
+            while let Some((_, phase)) = phases.next_if(|&(due, _)| due <= done) {
+                let sim = batch.lane_mut(lane).expect("one lane per spec");
+                if let Err(e) = sim.apply_delta(&phase.delta()) {
+                    errors[lane].get_or_insert(e);
+                }
             }
         }
-        if done >= total_steps {
-            break;
+        if done >= total {
+            return;
         }
-        let target = cursors
-            .iter()
-            .filter_map(|(list, next)| list.get(*next).map(|&(due, _)| due))
+        let target = lanes
+            .iter_mut()
+            .filter_map(|phases| phases.peek().map(|&(due, _)| due))
             .min()
-            .map_or(total_steps, |due| due.min(total_steps));
-        batch.run_steps(target - done)?;
+            .unwrap_or(total);
+        if let Err(e) = batch.run_steps(target - done) {
+            for error in errors.iter_mut() {
+                error.get_or_insert_with(|| e.clone());
+            }
+            return;
+        }
         done = target;
     }
-    Ok(())
 }
 
 /// File name of the binary trace of the named concrete scenario: characters
@@ -764,38 +687,6 @@ fn attach_file_sink(
     let sink = FileSink::create(&path)
         .map_err(|e| SimError::Trace(format!("create trace file {}: {e}", path.display())))?;
     sim.attach_trace_sink(Box::new(sink), interval, selection)
-}
-
-/// Executes one (possibly phased) concrete scenario to its end, applying
-/// each remaining phase's delta at its due step.
-///
-/// Segment boundaries are computed as *step counts* from the declared phase
-/// times — not by subtracting accumulated elapsed time, whose float error
-/// would make boundary placement depend on execution history — so phased
-/// runs are deterministic and a run with zero phases steps exactly as
-/// [`Simulation::run_for`] would. Phases at or beyond the end of the run
-/// never fire.
-fn run_phased(sim: &mut Simulation, case: &ScenarioSpec) -> Result<(), SimError> {
-    let dt = sim.config().time_step;
-    let total_steps = step_count(case.total_duration(), dt);
-    let mut done: u64 = 0;
-    if let Some(phases) = &case.phases {
-        for phase in phases {
-            let due = step_count(Seconds::new(phase.at), dt);
-            if due >= total_steps {
-                break;
-            }
-            for _ in done..due {
-                sim.step()?;
-            }
-            done = done.max(due);
-            sim.apply_delta(&phase.delta())?;
-        }
-    }
-    for _ in done..total_steps {
-        sim.step()?;
-    }
-    Ok(())
 }
 
 /// The digest identifying the expanded batch of a spec list — what shard
@@ -1118,7 +1009,7 @@ fn fig2_migration_cost() -> TableReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::spec::SweepSpec;
+    use crate::scenario::spec::{PhaseSpec, SweepSpec};
 
     fn quick_spec(name: &str) -> ScenarioSpec {
         ScenarioSpec::new(name)
@@ -1171,6 +1062,39 @@ mod tests {
         let spec = quick_spec("bad").with_policy("not-a-policy", 1.0);
         let err = Runner::new().run_spec(&spec).unwrap_err();
         assert!(matches!(err, SimError::UnknownPolicy { .. }));
+    }
+
+    #[test]
+    fn the_earliest_failing_case_wins_at_every_lane_count() {
+        // One platform, so at two lanes and up each pair shares a chunk and
+        // the later case's error surfaces first unless errors stay with
+        // their own case.
+        let unknown_policy = quick_spec("bad-policy").with_policy("not-a-policy", 1.0);
+        let unsorted_phases = quick_spec("bad-phases").with_phases([
+            PhaseSpec::at(1.0).with_threshold(2.0),
+            PhaseSpec::at(0.5).with_threshold(1.0),
+        ]);
+        let late_swap =
+            quick_spec("late-swap").with_phases([PhaseSpec::at(1.2).with_policy("late-policy")]);
+        let cases = [
+            ([unknown_policy.clone(), unsorted_phases], "not-a-policy"),
+            ([late_swap, unknown_policy], "late-policy"),
+        ];
+        for (specs, culprit) in &cases {
+            for lanes in [1, 2, 8] {
+                for parallel in [false, true] {
+                    let err = Runner::new()
+                        .with_parallelism(parallel)
+                        .with_lanes(lanes)
+                        .run(specs)
+                        .unwrap_err();
+                    assert!(
+                        matches!(&err, SimError::UnknownPolicy { name, .. } if name == culprit),
+                        "{lanes} lanes, parallel={parallel}: {err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

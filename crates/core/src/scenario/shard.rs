@@ -8,11 +8,14 @@
 //! coordination, queue or scheduler is needed between workers.
 //!
 //! A worker executes its slice with
-//! [`Runner::run_shard`](crate::scenario::Runner::run_shard) and emits a
-//! [`PartialReport`]; [`PartialReport::merge`] validates that a set of
-//! partials covers the batch exactly (same shard count, same total, no gaps,
-//! no overlap) and reassembles a [`BatchReport`] that is byte-identical to a
-//! single-process run.
+//! [`Runner::run_shard`](crate::scenario::Runner::run_shard) — the runner's
+//! one pipeline over that slice — and emits a [`PartialReport`].
+//! [`PartialReport::merge`] validates that a set of partials covers the
+//! batch exactly (same shard count, same total, each partial holding the
+//! runs its plan assigns, so no gaps and no overlap) and reassembles a
+//! [`BatchReport`] through the [`BatchAssembler`] that distributed
+//! coordinators fill too; the result is byte-identical to a single-process
+//! run.
 //!
 //! Shard indices are **1-based** — `--shard 1/4` … `--shard 4/4` — matching
 //! the convention of CI matrix runners.
@@ -23,6 +26,7 @@ use std::ops::Range;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
+use crate::scenario::queue::BatchAssembler;
 use crate::scenario::runner::{BatchReport, RunReport};
 
 /// One contiguous slice of an expanded batch: shard `index` of `count`
@@ -150,9 +154,11 @@ impl PartialReport {
     /// single-process run would have produced.
     ///
     /// The partials may arrive in any order. Every shard of the split must be
-    /// present exactly once, all must agree on the shard count and batch
-    /// total, and their ranges must tile `0..total` without gaps or overlap —
-    /// anything else is an error, never a silently truncated batch.
+    /// present exactly once, all must agree on the shard count, batch total
+    /// and batch digest, and each must hold exactly the runs its
+    /// [`ShardPlan`] assigns it — anything else is an error, never a silently
+    /// truncated batch. The checked partials are assembled through a
+    /// [`BatchAssembler`].
     ///
     /// # Errors
     ///
@@ -161,31 +167,7 @@ impl PartialReport {
         let Some(first) = partials.first() else {
             return Err(SimError::Spec("cannot merge zero partial reports".into()));
         };
-        let (count, total) = (first.shard_count, first.total);
-        let batch = first.batch.clone();
-        for partial in &partials {
-            partial.plan()?;
-            if partial.shard_count != count {
-                return Err(SimError::Spec(format!(
-                    "partials disagree on the shard count ({count} vs {})",
-                    partial.shard_count
-                )));
-            }
-            if partial.total != total {
-                return Err(SimError::Spec(format!(
-                    "partials disagree on the batch total ({total} vs {})",
-                    partial.total
-                )));
-            }
-            if partial.batch != batch {
-                return Err(SimError::Spec(format!(
-                    "shard {}/{count} was produced from a different batch \
-                     (digest {} vs {batch}); all partials must come from the \
-                     same spec list, scenario files and durations",
-                    partial.shard_index, partial.batch
-                )));
-            }
-        }
+        let (count, total, batch) = (first.shard_count, first.total, first.batch.clone());
         if partials.len() != count {
             return Err(SimError::Spec(format!(
                 "expected {count} partial reports, got {}",
@@ -193,26 +175,24 @@ impl PartialReport {
             )));
         }
         partials.sort_by_key(|p| p.shard_index);
-        let mut reports = Vec::with_capacity(total);
-        for partial in partials {
-            if partial.start != reports.len() {
+        for (i, partial) in partials.iter().enumerate() {
+            let expected = ShardPlan::new(i + 1, count)?;
+            let range = expected.range(total);
+            let held = partial.start..partial.start.saturating_add(partial.reports.len());
+            if partial.plan()? != expected || held != range {
                 return Err(SimError::Spec(format!(
-                    "shard {}/{count} starts at run {} but the merged batch has {} runs so far \
-                     (missing, duplicated or overlapping shard)",
-                    partial.shard_index,
-                    partial.start,
-                    reports.len()
+                    "shard {}/{} holds runs {held:?}, but runs {range:?} of {total} belong to \
+                     shard {expected} (missing, duplicated or overlapping shard)",
+                    partial.shard_index, partial.shard_count
                 )));
             }
-            reports.extend(partial.reports);
         }
-        if reports.len() != total {
-            return Err(SimError::Spec(format!(
-                "merged batch has {} runs, expected {total}",
-                reports.len()
-            )));
+        // The held ranges tile 0..total, so every slot is backed by a report.
+        let mut assembler = BatchAssembler::for_digest(batch, total);
+        for partial in &partials {
+            assembler.accept_partial(partial)?;
         }
-        Ok(BatchReport { reports })
+        assembler.into_batch()
     }
 }
 
