@@ -1,9 +1,9 @@
 //! Criterion benchmarks timing the regeneration of each figure/table.
 //!
 //! These benches answer "how long does it take to reproduce figure X?"
-//! rather than asserting its values (the `src/bin/figN_*` binaries print the
-//! values; the integration tests assert the shapes). The measured duration of
-//! each experiment is reduced so a Criterion run stays short.
+//! rather than asserting its values (`reproduce_all` and `run_scenario` print
+//! the values; the integration tests assert the shapes). The measured
+//! duration of each experiment is reduced so a Criterion run stays short.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

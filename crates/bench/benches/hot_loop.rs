@@ -1,23 +1,29 @@
 //! Hot-loop microbenchmarks: steady-state `Simulation::step` throughput for
 //! platform × solver × workload combinations, plus layer-level benches
-//! (RC-network kernel, power snapshot, OS step, pipeline step) that show
-//! where a step's nanoseconds go.
+//! (RC-network kernel and steady-state solve, power snapshot, OS step, one
+//! `decide` of each policy, trace encoding) that show where a step's
+//! nanoseconds go.
 //!
-//! Run with `cargo bench -p tbp-bench --bench hot_loop`. The numbers feed
-//! the committed `BENCH_PR4.json` trajectory via the `perf_report` binary;
-//! see `docs/PERFORMANCE.md`.
+//! Run with `cargo bench -p tbp-bench --bench hot_loop` (about 10 s; CI runs
+//! it too). These are the criterion view for local iteration; the
+//! end-to-end and per-phase numbers of record come from `perfbench/` (see
+//! `docs/PERFORMANCE.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use tbp_arch::core::CoreId;
+use tbp_arch::freq::{DvfsScale, Frequency};
 use tbp_arch::platform::{MpsocPlatform, PlatformConfig, PowerSnapshot};
-use tbp_arch::units::{Celsius, Seconds};
+use tbp_arch::units::{Bytes, Celsius, Seconds, Watts};
+use tbp_core::policy::{
+    build_input, CoreSnapshot, EnergyBalancingPolicy, Policy, PolicyInput, StopGoPolicy,
+    TaskSnapshot, ThermalBalancingConfig, ThermalBalancingPolicy,
+};
 use tbp_core::sim::builder::Workload;
 use tbp_core::sim::{Simulation, SimulationBuilder, SimulationConfig};
 use tbp_os::mpos::{Mpos, MposStepReport};
-use tbp_os::task::TaskDescriptor;
+use tbp_os::task::{TaskDescriptor, TaskId};
 use tbp_thermal::package::Package;
-use tbp_thermal::rc::RcNetwork;
 use tbp_thermal::solver::{Solver, SolverKind, SolverWorkspace};
 use tbp_thermal::ThermalModel;
 
@@ -95,18 +101,25 @@ fn bench_simulation_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// The paper-floorplan thermal model network, heated like the SDR run.
-fn paper_network() -> RcNetwork {
+/// The paper-floorplan thermal model, mobile package.
+fn paper_model() -> ThermalModel {
     let floorplan = tbp_arch::floorplan::Floorplan::paper_3core();
-    let model = ThermalModel::new(&floorplan, Package::mobile_embedded()).expect("model builds");
-    model.network().clone()
+    ThermalModel::new(&floorplan, Package::mobile_embedded()).expect("model builds")
 }
 
 fn bench_rc_network(c: &mut Criterion) {
     let mut group = c.benchmark_group("rc_network");
     let iters = 10_000u64;
 
-    let mut net = paper_network();
+    let model = paper_model();
+    let power: Vec<Watts> = (0..model.num_blocks())
+        .map(|i| Watts::new(0.02 + 0.03 * (i % 5) as f64))
+        .collect();
+    group.bench_function("steady_state_3core", |b| {
+        b.iter(|| model.steady_state(black_box(&power)).expect("steady state"))
+    });
+
+    let mut net = model.network().clone();
     net.ensure_compiled();
     let temps: Vec<f64> = (0..net.len()).map(|i| 45.0 + i as f64).collect();
     let mut out = Vec::new();
@@ -203,6 +216,61 @@ fn bench_layers(c: &mut Criterion) {
     group.finish();
 }
 
+/// A policy input with `num_cores` cores of `tasks_per_core` tasks each and
+/// a temperature ramp across the cores, so every policy has work to do.
+fn policy_input(num_cores: usize, tasks_per_core: usize) -> PolicyInput {
+    let cores = (0..num_cores)
+        .map(|i| {
+            let tasks: Vec<TaskSnapshot> = (0..tasks_per_core)
+                .map(|j| TaskSnapshot {
+                    id: TaskId(i * tasks_per_core + j),
+                    fse_load: 0.08 + 0.03 * j as f64,
+                    context_size: Bytes::from_kib(64 + 32 * j as u64),
+                    migratable: true,
+                    migrating: false,
+                })
+                .collect();
+            CoreSnapshot {
+                id: CoreId(i),
+                temperature: Celsius::new(58.0 + 3.0 * i as f64),
+                frequency: Frequency::from_mhz(if i % 2 == 0 { 533.0 } else { 266.0 }),
+                running: true,
+                fse_load: tasks.iter().map(|t| t.fse_load).sum(),
+                tasks,
+            }
+        })
+        .collect();
+    build_input(Seconds::new(1.0), cores, 0)
+}
+
+/// One `decide` of each compared policy: the paper calls its balancing rule
+/// lightweight, so it must cost far less than the 10 ms sensor period.
+fn bench_policy_decide(c: &mut Criterion) {
+    let mut group = c.benchmark_group("policy_decide");
+    for (cores, tasks) in [(3usize, 2usize), (4, 4), (8, 8)] {
+        let input = policy_input(cores, tasks);
+        let mut balancing = ThermalBalancingPolicy::new(
+            DvfsScale::paper_default(),
+            ThermalBalancingConfig::paper_default().with_threshold(1.0),
+        );
+        group.bench_function(format!("thermal_balancing/{cores}c_{tasks}t"), |b| {
+            b.iter(|| {
+                balancing.reset();
+                balancing.decide(black_box(&input))
+            })
+        });
+        let mut stop_go = StopGoPolicy::new(1.0);
+        group.bench_function(format!("stop_and_go/{cores}c_{tasks}t"), |b| {
+            b.iter(|| stop_go.decide(black_box(&input)))
+        });
+        let mut energy = EnergyBalancingPolicy::new();
+        group.bench_function(format!("energy_balancing/{cores}c_{tasks}t"), |b| {
+            b.iter(|| energy.decide(black_box(&input)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_trace_encode(c: &mut Criterion) {
     use tbp_obs::{TraceWriter, TrackDef, TrackKind};
 
@@ -267,6 +335,7 @@ criterion_group!(
     bench_simulation_step,
     bench_rc_network,
     bench_layers,
+    bench_policy_decide,
     bench_trace_encode
 );
 criterion_main!(benches);

@@ -2,9 +2,9 @@
 //! 4 and 8 lanes against the solo `Simulation::step` baseline, plus the raw
 //! thermal lane kernel at the same widths.
 //!
-//! Run with `cargo bench -p tbp-bench --bench lane_scaling`. The committed
-//! acceptance numbers come from the `perf_report` binary (`BENCH_PR7.json`);
-//! this group is the criterion view of the same curves for local iteration.
+//! Run with `cargo bench -p tbp-bench --bench lane_scaling`; it re-measures
+//! the dated lane-scaling table in `docs/PERFORMANCE.md`. The end-to-end
+//! lane numbers of record come from perfbench's `manycore_lanes` workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

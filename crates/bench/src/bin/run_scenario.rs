@@ -1,9 +1,11 @@
 //! Runs arbitrary scenario TOML files through the batch CLI.
 //!
 //! Where `reproduce_all` always executes the whole `scenarios/` directory,
-//! this binary runs exactly the files it is given — the CI smoke jobs use it
-//! to exercise individual scenarios (cold + warm against a cache), and it is
-//! the quickest way to iterate on a new scenario file:
+//! this binary runs exactly the files it is given and renders them through
+//! the same `tbp_bench::print_batch`, so `run_scenario scenarios/<file>`
+//! prints the paper artefact of that file alone (the README maps each table
+//! and figure to its file). It is also the quickest way to iterate on a new
+//! scenario file:
 //!
 //! ```sh
 //! cargo run --release -p tbp-bench --bin run_scenario -- \
@@ -23,7 +25,9 @@
 //! `run_scenario <scenario.toml>... --merge p1.json p2.json`.
 //! `TBP_DURATION` overrides the measured duration of every simulated
 //! scenario *when set*; unlike `reproduce_all`, an unset variable leaves the
-//! files' own schedules untouched.
+//! files' own schedules untouched. `crates/bench/tests/equivalence.rs` runs
+//! it with every cache and observability flag, cold then warm, and checks
+//! its CSV against the sequential reference.
 
 use std::path::PathBuf;
 
@@ -42,24 +46,7 @@ fn main() {
     let Some(batch) = tbp_bench::run_cli("scenarios", &specs) else {
         return; // shard mode: the partial report went to stdout
     };
-    if tbp_bench::emit_structured(&batch) {
-        return;
-    }
-    for spec in &specs {
-        let reports = batch.group(&spec.name);
-        if reports.is_empty() {
-            continue;
-        }
-        if let Some(table) = reports[0].table() {
-            tbp_bench::print_table_report(table);
-        } else {
-            tbp_bench::print_table(
-                &spec.name,
-                &tbp_bench::SUMMARY_HEADER,
-                &tbp_bench::summary_rows(&reports),
-            );
-        }
-    }
+    tbp_bench::print_batch(&specs, &batch);
 }
 
 /// The positional scenario-file arguments: everything that is not one of the

@@ -109,24 +109,7 @@ fn main() {
                 "[worker] coordinator unreachable at {}: ran the batch locally",
                 cli.connect
             );
-            if tbp_bench::emit_structured(&batch) {
-                return;
-            }
-            for spec in &specs {
-                let reports = batch.group(&spec.name);
-                if reports.is_empty() {
-                    continue;
-                }
-                if let Some(table) = reports[0].table() {
-                    tbp_bench::print_table_report(table);
-                } else {
-                    tbp_bench::print_table(
-                        &spec.name,
-                        &tbp_bench::SUMMARY_HEADER,
-                        &tbp_bench::summary_rows(&reports),
-                    );
-                }
-            }
+            tbp_bench::print_batch(&specs, &batch);
         }
         Err(e) => {
             if let Some(obs) = obs {

@@ -10,8 +10,9 @@
 //! incumbent.
 //!
 //! The emitted report is deterministic: repeated runs produce byte-identical
-//! JSON (nothing wall-clock-dependent is recorded), which the CI
-//! reconfiguration smoke job asserts.
+//! JSON (nothing wall-clock-dependent is recorded), which
+//! `crates/bench/tests/equivalence.rs` asserts along with at least three
+//! live swaps.
 //!
 //! ```sh
 //! cargo run --release -p tbp-bench --bin threshold_search -- \

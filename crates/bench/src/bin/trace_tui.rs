@@ -11,8 +11,8 @@
 //!
 //! The explorer state and every pane render through the pure
 //! [`Explorer`]/[`Frame`] model in `tbp-obs` — no I/O or clocks in the
-//! rendering path — so `--render-once` is deterministic byte-for-byte (the
-//! CI `obs-live-smoke` job diffs two renders) and the interactive loop is
+//! rendering path — so `--render-once` is deterministic byte-for-byte (see
+//! `crates/obs/tests/tui_render.rs`) and the interactive loop is
 //! just: poll inputs, fold them into the state, print the next frame.
 //!
 //! Key bindings: `1`/`2`/`3` select the detail / heatmap / windows pane

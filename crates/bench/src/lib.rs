@@ -1,11 +1,14 @@
 //! # tbp-bench — experiment harness for the DATE 2008 reproduction
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper by
-//! building a [`ScenarioSpec`] (or loading
-//! one from the workspace's `scenarios/` directory), handing it to the
-//! parallel [`Runner`] and rendering the
-//! returned [`BatchReport`]. `reproduce_all` runs the whole evaluation from
-//! the TOML scenario files.
+//! `reproduce_all` runs the paper's whole evaluation from the workspace's
+//! `scenarios/*.toml` files (or the directory named by `TBP_SCENARIOS`);
+//! `run_scenario` runs the files it is given, and `sweep_coord` /
+//! `sweep_worker` distribute the same batch over TCP. Each loads
+//! [`ScenarioSpec`]s, hands them to the parallel [`Runner`] and renders the
+//! returned [`BatchReport`] through the one renderer, [`print_batch`], which
+//! prints every table and figure in the layout of the paper artefact it
+//! reproduces. `reproduce_all` adds the two trace-based narratives
+//! ([`print_narratives`]).
 //!
 //! All binaries accept `--json` / `--csv` (or `TBP_FORMAT=json|csv`) to emit
 //! the structured reports instead of plain-text tables, and honour
@@ -34,7 +37,8 @@
 //!   stable.
 //!
 //! None of the observability flags change what the binaries compute:
-//! reports, CSVs and cache entries stay byte-identical with them on.
+//! reports, CSVs and cache entries stay byte-identical with them on
+//! (`tests/equivalence.rs` proves it for every execution path).
 
 #![deny(missing_docs)]
 
@@ -44,13 +48,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tbp_arch::units::Seconds;
-use tbp_core::experiments::SweepPoint;
+use tbp_arch::core::CoreId;
+use tbp_arch::freq::DvfsScale;
+use tbp_arch::units::{Bytes, Celsius, Seconds};
 use tbp_core::scenario::{
-    BatchReport, CacheMetrics, FsCache, PartialReport, RunReport, Runner, RunnerMetrics,
-    ScenarioSpec, ShardPlan,
+    AnalysisKind, BatchReport, CacheMetrics, FsCache, PartialReport, RunReport, Runner,
+    RunnerMetrics, ScenarioSpec, ShardPlan,
 };
 use tbp_obs::{MetricsRegistry, SnapshotEmitter};
+use tbp_os::governor::DvfsGovernor;
+use tbp_os::migration::{MigrationCostModel, MigrationStrategy};
+use tbp_streaming::sdr::SdrBenchmark;
+use tbp_thermal::package::PackageKind;
 
 /// Measured duration used by the figure experiments (seconds of simulated
 /// time after the warm-up). Override with the `TBP_DURATION` environment
@@ -135,7 +144,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Prints an analytic table report.
-pub fn print_table_report(table: &tbp_core::scenario::TableReport) {
+fn print_table_report(table: &tbp_core::scenario::TableReport) {
     let header: Vec<&str> = table.header.iter().map(String::as_str).collect();
     print_table(&table.title, &header, &table.rows);
 }
@@ -155,7 +164,7 @@ pub fn policy_columns<'a>(reports: &[&'a RunReport]) -> Vec<&'a str> {
 
 /// Pivots simulation reports into a threshold-indexed table with one metric
 /// column per policy — the layout of Figures 7–10.
-pub fn pivot_threshold_policy(
+fn pivot_threshold_policy(
     reports: &[&RunReport],
     metric: impl Fn(&RunReport) -> f64,
 ) -> Vec<Vec<String>> {
@@ -183,7 +192,7 @@ pub fn pivot_threshold_policy(
 }
 
 /// One summary row per simulation report (generic fallback rendering).
-pub fn summary_rows(reports: &[&RunReport]) -> Vec<Vec<String>> {
+fn summary_rows(reports: &[&RunReport]) -> Vec<Vec<String>> {
     reports
         .iter()
         .filter_map(|report| {
@@ -201,7 +210,7 @@ pub fn summary_rows(reports: &[&RunReport]) -> Vec<Vec<String>> {
 }
 
 /// Header matching [`summary_rows`].
-pub const SUMMARY_HEADER: [&str; 6] = [
+const SUMMARY_HEADER: [&str; 6] = [
     "scenario",
     "σ [°C]",
     "spread [°C]",
@@ -210,40 +219,305 @@ pub const SUMMARY_HEADER: [&str; 6] = [
     "KiB/s",
 ];
 
-/// Formats sweep points as a threshold-indexed table of one metric per
-/// policy (legacy layout over [`SweepPoint`]s).
-pub fn sweep_table(points: &[SweepPoint], metric: impl Fn(&SweepPoint) -> f64) -> Vec<Vec<String>> {
-    use std::collections::BTreeMap;
-    let mut thresholds: Vec<f64> = points.iter().map(|p| p.threshold).collect();
-    thresholds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    thresholds.dedup();
-    let mut policies: Vec<&'static str> = Vec::new();
-    for p in points {
-        if !policies.contains(&p.policy.label()) {
-            policies.push(p.policy.label());
+/// Renders a batch the way every batch binary does: the structured report
+/// when `--json`/`--csv` asked for one, otherwise the reports of each
+/// scenario of `specs`, in order, in the layout of the paper artefact that
+/// scenario reproduces.
+pub fn print_batch(specs: &[ScenarioSpec], batch: &BatchReport) {
+    if emit_structured(batch) {
+        return;
+    }
+    for spec in specs {
+        print_group(spec, batch);
+    }
+}
+
+/// Renders the reports of one scenario in the layout of the paper artefact
+/// it reproduces: the analytic tables (Table 2 adds the governor's per-core
+/// choice, Figure 2 the 64 KiB replication cost), the threshold-indexed
+/// pivots of Figures 7–10, the two-package table of Figure 11 and the queue
+/// table of narrative N3. Any other scenario gets one summary row per run.
+fn print_group(spec: &ScenarioSpec, batch: &BatchReport) {
+    let reports = batch.group(&spec.name);
+    let Some(first) = reports.first() else {
+        return;
+    };
+    if let Some(table) = first.table() {
+        print_table_report(table);
+        match spec.analysis {
+            Some(AnalysisKind::Table2Mapping) => print_governor_table(),
+            Some(AnalysisKind::Fig2MigrationCost) => print_replication_cost(),
+            _ => {}
+        }
+        return;
+    }
+    match spec.name.as_str() {
+        "threshold-sweep-mobile" => print_sweep_figures(&reports, "mobile embedded", 7, 8),
+        "threshold-sweep-hiperf" => print_sweep_figures(&reports, "high-performance", 9, 10),
+        "migration-rate" => print_migration_rate(&reports),
+        "queue-capacity" => print_queue_capacity(&reports),
+        _ => print_table(&spec.name, &SUMMARY_HEADER, &summary_rows(&reports)),
+    }
+}
+
+/// Table 2's per-core totals plus the frequency the DVFS governor picks for
+/// that mapping.
+fn print_governor_table() {
+    let sdr = SdrBenchmark::paper_default();
+    let governor = DvfsGovernor::new(DvfsScale::paper_default());
+    let rows: Vec<Vec<String>> = (0..3)
+        .map(|core| {
+            let on_core = || sdr.mapping().iter().filter(move |e| e.core == CoreId(core));
+            let fse: f64 = on_core().map(|e| e.fse_load()).sum();
+            let util: f64 = on_core().map(|e| e.load_percent).sum();
+            vec![
+                format!("Core {}", core + 1),
+                format!("{util:.1}"),
+                format!("{fse:.3}"),
+                format!("{}", governor.frequency_for(fse)),
+            ]
+        })
+        .collect();
+    print_table(
+        "Per-core totals and governor frequency selection",
+        &[
+            "core",
+            "Table 2 load [%]",
+            "total FSE",
+            "governor frequency",
+        ],
+        &rows,
+    );
+}
+
+/// Figure 2's headline number: the CPU time of the smallest replication.
+fn print_replication_cost() {
+    let model = MigrationCostModel::paper_default();
+    println!(
+        "\nReplication of the 64 KiB minimum transfer costs {:.2} ms of CPU time at 500 MHz.",
+        model.cycles(MigrationStrategy::TaskReplication, Bytes::from_kib(64)) / 500e6 * 1e3
+    );
+}
+
+/// Figures 7+8 (or 9+10): σ and deadline misses per policy and threshold,
+/// then the misses as a rate.
+fn print_sweep_figures(reports: &[&RunReport], package: &str, sigma_fig: u32, miss_fig: u32) {
+    let mut header = vec!["threshold [°C]"];
+    header.extend(policy_columns(reports));
+    let sigma_rows = pivot_threshold_policy(reports, |r| {
+        r.summary().map_or(f64::NAN, |s| s.mean_spatial_std_dev())
+    });
+    print_table(
+        &format!("Figure {sigma_fig} — temperature σ [°C] vs threshold ({package} package)"),
+        &header,
+        &sigma_rows,
+    );
+    let miss_rows = pivot_threshold_policy(reports, |r| {
+        r.summary()
+            .map_or(f64::NAN, |s| s.qos.deadline_misses as f64)
+    });
+    print_table(
+        &format!("Figure {miss_fig} — deadline misses vs threshold ({package} package)"),
+        &header,
+        &miss_rows,
+    );
+    let rate_rows = pivot_threshold_policy(reports, |r| {
+        r.summary().map_or(f64::NAN, |s| s.qos.miss_rate() * 100.0)
+    });
+    print_table("Deadline miss rate [%]", &header, &rate_rows);
+}
+
+/// Figure 11: the thermal balancing policy's migration rate per threshold,
+/// one column pair per package.
+fn print_migration_rate(reports: &[&RunReport]) {
+    let of_package = |package: PackageKind| -> Vec<&RunReport> {
+        reports
+            .iter()
+            .copied()
+            .filter(|r| r.package == Some(package))
+            .collect()
+    };
+    let mobile = of_package(PackageKind::MobileEmbedded);
+    let hiperf = of_package(PackageKind::HighPerformance);
+    let rows: Vec<Vec<String>> = mobile
+        .iter()
+        .zip(&hiperf)
+        .map(|(m, h)| {
+            let ms = m.summary().expect("simulation report");
+            let hs = h.summary().expect("simulation report");
+            vec![
+                format!("{:.0}", m.threshold.unwrap_or(f64::NAN)),
+                format!("{:.2}", ms.migrations_per_second()),
+                format!("{:.0}", ms.migrated_kib_per_second()),
+                format!("{:.2}", hs.migrations_per_second()),
+                format!("{:.0}", hs.migrated_kib_per_second()),
+            ]
+        })
+        .collect();
+    print_table(
+        "Figure 11 — migrations per second vs threshold (thermal balancing policy)",
+        &[
+            "threshold [°C]",
+            "mobile [1/s]",
+            "mobile [KiB/s]",
+            "high-perf [1/s]",
+            "high-perf [KiB/s]",
+        ],
+        &rows,
+    );
+}
+
+/// Narrative N3: misses and queue levels per inter-stage queue capacity.
+fn print_queue_capacity(reports: &[&RunReport]) {
+    let rows: Vec<Vec<String>> = reports
+        .iter()
+        .filter_map(|r| {
+            let s = r.summary()?;
+            Some(vec![
+                format!("{}", r.queue_capacity.unwrap_or(0)),
+                format!("{}", s.qos.deadline_misses),
+                format!("{}", s.qos.min_queue_level),
+                format!("{:.1}", s.qos.mean_queue_level),
+                format!("{}", s.migration.migrations),
+            ])
+        })
+        .collect();
+    print_table(
+        "Queue capacity sweep (thermal balancing, 1 °C threshold, high-performance package)",
+        &[
+            "queue size [frames]",
+            "deadline misses",
+            "min queue level",
+            "mean queue level",
+            "migrations",
+        ],
+        &rows,
+    );
+}
+
+/// Hottest minus coolest core temperature (°C).
+fn spread(temps: &[Celsius]) -> f64 {
+    let celsius = || temps.iter().map(|c| c.as_celsius());
+    celsius().fold(f64::MIN, f64::max) - celsius().fold(f64::MAX, f64::min)
+}
+
+/// `[t, core0, core1, core2, spread]`, the row of both narrative tables.
+fn temperature_row(t: f64, temps: &[Celsius]) -> Vec<String> {
+    vec![
+        format!("{t:.1}"),
+        format!("{:.2}", temps[0].as_celsius()),
+        format!("{:.2}", temps[1].as_celsius()),
+        format!("{:.2}", temps[2].as_celsius()),
+        format!("{:.2}", spread(temps)),
+    ]
+}
+
+/// Prints the paper's two trace-based narratives. They need intermediate
+/// temperatures, so they step their simulations directly instead of going
+/// through the [`Runner`] (and are neither cached nor shardable):
+///
+/// * N1 — the DVFS-only warm-up stabilises but leaves about 10 °C between
+///   the hottest and the coolest core;
+/// * N2 — enabling the thermal balancing policy with a ±3 °C band after that
+///   warm-up balances the cores within one second, and the hottest core stays
+///   above the upper threshold for less than 0.4 s. The transient is sampled
+///   every 0.05 s.
+///
+/// # Panics
+///
+/// Panics when a narrative simulation fails to build or step.
+pub fn print_narratives() {
+    let header = [
+        "time [s]",
+        "core0 [°C]",
+        "core1 [°C]",
+        "core2 [°C]",
+        "spread [°C]",
+    ];
+    let mut sim = ScenarioSpec::new("warmup-gradient")
+        .with_policy("dvfs-only", 3.0)
+        .with_schedule(0.0, 12.5)
+        .build()
+        .expect("warm-up simulation builds");
+    let mut rows = Vec::new();
+    let mut last = 0.0;
+    for t in [1.0, 2.5, 5.0, 7.5, 10.0, 12.5] {
+        sim.run_for(Seconds::new(t - last)).expect("warm-up runs");
+        last = t;
+        rows.push(temperature_row(t, &sim.core_temperatures()));
+    }
+    print_table(
+        "Narrative N1 — DVFS-only warm-up (mobile package): core temperatures over time",
+        &header,
+        &rows,
+    );
+    println!(
+        "\nFinal gradient between hottest and coolest core: {:.2} °C (paper: ~10 °C)",
+        spread(&sim.core_temperatures())
+    );
+
+    let threshold = 3.0;
+    let mut sim = ScenarioSpec::new("balance-transient")
+        .with_package(PackageKind::MobileEmbedded)
+        .with_policy("thermal-balancing", threshold)
+        .with_schedule(12.5, 10.0)
+        .build()
+        .expect("transient simulation builds");
+    sim.run_for(Seconds::new(12.5)).expect("warm-up runs");
+    let before = sim.core_temperatures();
+    let mut rows = Vec::new();
+    let mut balanced_at = None;
+    let mut above_time = 0.0;
+    let step = 0.05;
+    let mut t = 0.0;
+    while t < 10.0 {
+        sim.run_for(Seconds::new(step)).expect("transient runs");
+        t += step;
+        let temps = sim.core_temperatures();
+        let mean = temps.iter().map(|c| c.as_celsius()).sum::<f64>() / temps.len() as f64;
+        let max = temps
+            .iter()
+            .map(|c| c.as_celsius())
+            .fold(f64::MIN, f64::max);
+        if max > mean + threshold {
+            above_time += step;
+        }
+        if balanced_at.is_none() && spread(&temps) <= 2.0 * threshold {
+            balanced_at = Some(t);
+        }
+        if ((t * 20.0).round() as u64).is_multiple_of(10) {
+            rows.push(temperature_row(t, &temps));
         }
     }
-    let mut by_key: BTreeMap<(String, String), f64> = BTreeMap::new();
-    for p in points {
-        by_key.insert(
-            (p.policy.label().to_string(), format!("{:.1}", p.threshold)),
-            metric(p),
-        );
-    }
-    thresholds
-        .iter()
-        .map(|t| {
-            let mut row = vec![format!("{t:.0}")];
-            for policy in &policies {
-                let v = by_key
-                    .get(&(policy.to_string(), format!("{t:.1}")))
-                    .copied()
-                    .unwrap_or(f64::NAN);
-                row.push(format!("{v:.3}"));
-            }
-            row
-        })
-        .collect()
+    let mut header = header;
+    header[0] = "t after enable [s]";
+    print_table(
+        "Narrative N2 — balancing transient (threshold 3 °C, mobile package)",
+        &header,
+        &rows[..rows.len().min(12)],
+    );
+    let summary = sim.summary();
+    println!(
+        "\nAfter the 12.5 s DVFS-only warm-up: {:.1} / {:.1} / {:.1} °C (spread {:.1} °C)",
+        before[0].as_celsius(),
+        before[1].as_celsius(),
+        before[2].as_celsius(),
+        spread(&before)
+    );
+    println!(
+        "Balanced (spread ≤ {:.0} °C) after {} s   [paper: < 1 s]",
+        2.0 * threshold,
+        balanced_at
+            .map(|t| format!("{t:.2}"))
+            .unwrap_or_else(|| "more than 10".into())
+    );
+    println!("Hottest core above the upper threshold for {above_time:.2} s   [paper: < 0.4 s]");
+    println!(
+        "Migrations in the measured window: {} ({:.0} KiB moved, {} deadline misses)",
+        summary.migration.migrations,
+        summary.migration.bytes.as_kib(),
+        summary.qos.deadline_misses
+    );
 }
 
 /// Batch-level CLI options shared by the bench binaries: caching, sharding
@@ -418,7 +692,7 @@ fn parse_batch_cli(args: impl Iterator<Item = String>) -> BatchCli {
 /// * `--merge <file>...` — execute nothing; merge the partials instead.
 ///
 /// With `--cache-dir`, a `[cache] hits=… misses=…` line is printed to stderr
-/// after execution (the cached-reproduce CI job greps for `misses=0`).
+/// after execution.
 ///
 /// # Panics
 ///

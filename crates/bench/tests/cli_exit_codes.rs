@@ -121,3 +121,23 @@ fn sweep_worker_reports_an_unreachable_coordinator_with_exit_1() {
     ]);
     assert_clean_failure(&run(cmd), 1, "coordinator unreachable");
 }
+
+#[test]
+fn reproduce_all_reports_a_malformed_scenario_file_with_exit_1() {
+    let dir = std::env::temp_dir().join(format!("tbp-cli-malformed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir creates");
+    std::fs::write(dir.join("broken.toml"), "name = \"broken\"\n[policy\n").expect("file writes");
+    let mut cmd = bin(env!("CARGO_BIN_EXE_reproduce_all"));
+    cmd.env("TBP_SCENARIOS", &dir);
+    let out = run(cmd);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_clean_failure(&out, 1, "broken.toml");
+}
+
+#[test]
+fn reproduce_all_reports_a_mistyped_scenario_directory_with_exit_1() {
+    // No fallback to built-in specs: a typo must not run something else.
+    let mut cmd = bin(env!("CARGO_BIN_EXE_reproduce_all"));
+    cmd.env("TBP_SCENARIOS", "no/such/scenarios");
+    assert_clean_failure(&run(cmd), 1, "no/such/scenarios");
+}

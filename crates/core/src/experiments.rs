@@ -1,17 +1,15 @@
-//! Thin scenario constructors reproducing the paper's evaluation.
+//! The pre-scenario experiment helpers, kept for the integration tests.
 //!
-//! Every table and figure of Section 5 maps to a [`ScenarioSpec`] built
-//! here; the `tbp-bench` binaries hand those specs to a
-//! [`Runner`] and print the resulting
-//! reports, and
-//! the integration tests assert the qualitative shapes (orderings, trends,
-//! crossovers) the paper reports. The same specs ship as TOML files under
-//! the workspace's `scenarios/` directory — `ScenarioSpec` serializes — so
-//! the whole evaluation can also be driven from data.
+//! The paper's evaluation itself is data: every table and figure of
+//! Section 5 is a TOML file under the workspace's `scenarios/` directory,
+//! which `reproduce_all` and `run_scenario` load and hand to a [`Runner`].
+//! What remains here is the one-run wrapper ([`ExperimentConfig`],
+//! [`run_sdr_experiment`]) and the policy enumeration ([`PolicyKind`]) the
+//! integration tests use to assert the qualitative shapes (orderings, trends,
+//! crossovers) the paper reports. Both are implemented on top of the
+//! Scenario API.
 //!
-//! The pre-scenario helpers ([`ExperimentConfig`], [`run_sdr_experiment`],
-//! [`run_threshold_sweep`], ...) are kept as compatibility wrappers; they are
-//! now implemented on top of the Scenario API.
+//! [`Runner`]: crate::scenario::Runner
 
 use serde::{Deserialize, Serialize};
 
@@ -21,16 +19,11 @@ use tbp_thermal::package::{Package, PackageKind};
 use crate::error::SimError;
 use crate::metrics::SimulationSummary;
 use crate::policy::Policy;
-use crate::scenario::{
-    package_label, AnalysisKind, PolicyRegistry, PolicySpec, Runner, ScenarioSpec, SweepSpec,
-};
+use crate::scenario::{PolicyRegistry, PolicySpec, ScenarioSpec};
 use crate::sim::Simulation;
 
 /// Threshold values (°C) swept in Figures 7–11.
 pub const THRESHOLD_SWEEP: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
-
-/// Queue capacities (frames) swept by the narrative N3 experiment.
-pub const QUEUE_CAPACITY_SWEEP: [usize; 9] = [1, 2, 3, 4, 6, 8, 11, 16, 24];
 
 /// The policies compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -155,162 +148,6 @@ pub fn run_sdr_experiment(config: &ExperimentConfig) -> Result<SimulationSummary
     Ok(sim.summary())
 }
 
-/// One point of a threshold sweep: a policy evaluated at one threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepPoint {
-    /// The policy evaluated.
-    pub policy: PolicyKind,
-    /// The threshold (°C).
-    pub threshold: f64,
-    /// The run's summary.
-    pub summary: SimulationSummary,
-}
-
-/// The Figures 7–10 scenario for one package: the three compared policies ×
-/// the four thresholds, as a single sweep-carrying spec.
-pub fn threshold_sweep_spec(package: PackageKind, duration: Seconds) -> ScenarioSpec {
-    let figures = match package {
-        PackageKind::HighPerformance => "figures 9+10",
-        _ => "figures 7+8",
-    };
-    ScenarioSpec::new(format!("threshold-sweep-{}", package_label(package)))
-        .with_description(format!(
-            "Policy comparison over the threshold sweep ({figures}): temperature deviation and deadline misses"
-        ))
-        .with_package(package)
-        .with_schedule(8.0, duration.as_secs())
-        .with_sweep(
-            SweepSpec::default()
-                .with_policies(PolicyKind::COMPARED.map(PolicyKind::label))
-                .with_thresholds(THRESHOLD_SWEEP),
-        )
-}
-
-/// The Figure 11 scenario: the thermal balancing policy across both
-/// packages and all thresholds.
-pub fn migration_rate_sweep_spec(duration: Seconds) -> ScenarioSpec {
-    ScenarioSpec::new("migration-rate")
-        .with_description(
-            "Figure 11: migrations per second of the thermal balancing policy vs threshold, both packages",
-        )
-        .with_policy(PolicyKind::ThermalBalancing.label(), 3.0)
-        .with_schedule(8.0, duration.as_secs())
-        .with_sweep(
-            SweepSpec::default()
-                .with_packages([PackageKind::MobileEmbedded, PackageKind::HighPerformance])
-                .with_thresholds(THRESHOLD_SWEEP),
-        )
-}
-
-/// The narrative N3 scenario: queue capacities under the most aggressive
-/// balancing configuration (1 °C, high-performance package).
-pub fn queue_capacity_sweep_spec(duration: Seconds) -> ScenarioSpec {
-    ScenarioSpec::new("queue-capacity")
-        .with_description(
-            "Narrative N3: minimum queue size sustaining thermal balancing without QoS impact",
-        )
-        .with_package(PackageKind::HighPerformance)
-        .with_policy(PolicyKind::ThermalBalancing.label(), 1.0)
-        .with_schedule(3.0, duration.as_secs())
-        .with_sweep(SweepSpec::default().with_queue_capacities(QUEUE_CAPACITY_SWEEP))
-}
-
-/// The Table 1 analytic scenario.
-pub fn table1_power_spec() -> ScenarioSpec {
-    ScenarioSpec::analysis("table1-power", AnalysisKind::Table1Power)
-        .with_description("Table 1: component power at the reference operating points")
-}
-
-/// The Table 2 analytic scenario.
-pub fn table2_mapping_spec() -> ScenarioSpec {
-    ScenarioSpec::analysis("table2-mapping", AnalysisKind::Table2Mapping)
-        .with_description("Table 2: the SDR task set and its initial mapping")
-}
-
-/// The Figure 2 analytic scenario.
-pub fn fig2_migration_cost_spec() -> ScenarioSpec {
-    ScenarioSpec::analysis("fig2-migration-cost", AnalysisKind::Fig2MigrationCost)
-        .with_description("Figure 2: migration cost vs task size for both back-ends")
-}
-
-/// The DVFS-only warm-up characterisation (narrative N1): no policy, no
-/// warm-up exclusion, 12.5 s.
-pub fn warmup_gradient_spec() -> ScenarioSpec {
-    ScenarioSpec::new("warmup-gradient")
-        .with_description(
-            "Narrative N1: unbalanced temperature gradient after the DVFS-only warm-up",
-        )
-        .with_policy(PolicyKind::DvfsOnly.label(), 3.0)
-        .with_schedule(0.0, 12.5)
-}
-
-/// Every scenario of the paper's evaluation, in presentation order.
-pub fn paper_scenarios(duration: Seconds) -> Vec<ScenarioSpec> {
-    vec![
-        table1_power_spec(),
-        table2_mapping_spec(),
-        fig2_migration_cost_spec(),
-        threshold_sweep_spec(PackageKind::MobileEmbedded, duration),
-        threshold_sweep_spec(PackageKind::HighPerformance, duration),
-        migration_rate_sweep_spec(duration),
-        queue_capacity_sweep_spec(duration),
-    ]
-}
-
-fn sweep_points(spec: &ScenarioSpec) -> Result<Vec<SweepPoint>, SimError> {
-    let batch = Runner::new().run_spec(spec)?;
-    batch
-        .reports
-        .into_iter()
-        .map(|report| {
-            let policy = report
-                .policy
-                .as_deref()
-                .and_then(PolicyKind::from_label)
-                .ok_or_else(|| {
-                    SimError::Spec(format!("report for `{}` names no policy", report.scenario))
-                })?;
-            let threshold = report
-                .threshold
-                .ok_or_else(|| SimError::Spec("sweep report without threshold".into()))?;
-            let summary = match report.outcome {
-                crate::scenario::RunOutcome::Simulation(summary) => *summary,
-                crate::scenario::RunOutcome::Table(_) => {
-                    return Err(SimError::Spec("sweep produced a table".into()))
-                }
-            };
-            Ok(SweepPoint {
-                policy,
-                threshold,
-                summary,
-            })
-        })
-        .collect()
-}
-
-/// Runs the full policy × threshold sweep of Figures 7–10 for one package
-/// (in parallel, through the Scenario API).
-///
-/// # Errors
-///
-/// Returns [`SimError`] when any run fails.
-pub fn run_threshold_sweep(
-    package: PackageKind,
-    duration: Seconds,
-) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_points(&threshold_sweep_spec(package, duration))
-}
-
-/// Runs the Figure 11 sweep: migrations per second of the thermal balancing
-/// policy for both packages (mobile first, as the figure plots them).
-///
-/// # Errors
-///
-/// Returns [`SimError`] when any run fails.
-pub fn run_migration_rate_sweep(duration: Seconds) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_points(&migration_rate_sweep_spec(duration))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,25 +214,5 @@ mod tests {
         assert!(summary.total_time.as_secs() > 5.99);
         assert!(summary.measured_time.as_secs() > 3.0);
         assert!(summary.qos.frames_delivered > 0);
-    }
-
-    #[test]
-    fn paper_scenarios_cover_the_evaluation() {
-        let specs = paper_scenarios(Seconds::new(20.0));
-        assert_eq!(specs.len(), 7);
-        let total_runs: usize = specs
-            .iter()
-            .map(|s| s.expand().len())
-            .collect::<Vec<_>>()
-            .iter()
-            .sum();
-        // 3 analytic tables + 2×(3 policies × 4 thresholds) + 2×4 + 9 queues.
-        assert_eq!(total_runs, 3 + 24 + 8 + 9);
-        // Every spec round-trips through TOML.
-        for spec in &specs {
-            let text = spec.to_toml_string();
-            let back = ScenarioSpec::from_toml_str(&text).expect("spec TOML parses");
-            assert_eq!(&back, spec);
-        }
     }
 }

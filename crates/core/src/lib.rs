@@ -19,8 +19,9 @@
 //!   [`PolicyRegistry`] resolving policy names,
 //!   and a parallel batch [`Runner`] returning structured
 //!   reports with JSON/CSV emission;
-//! * [`experiments`] — thin spec constructors reproducing every table and
-//!   figure of the paper's evaluation through the Scenario API.
+//! * [`experiments`] — the one-run experiment wrapper and policy enumeration
+//!   the integration tests use; the evaluation itself ships as
+//!   `scenarios/*.toml`.
 //!
 //! # Quick start
 //!

@@ -2,12 +2,11 @@
 //! (TOML and JSON), sweep-axis expansion, registry resolution errors, and
 //! the determinism of the parallel batch runner.
 
-use tbp_core::experiments::{paper_scenarios, THRESHOLD_SWEEP};
+use tbp_core::experiments::THRESHOLD_SWEEP;
 use tbp_core::policy::DvfsOnlyPolicy;
 use tbp_core::scenario::{load_dir, PolicyRegistry, Runner, ScenarioSpec, SweepSpec, WorkloadDecl};
 use tbp_core::SimError;
 
-use tbp_arch::units::Seconds;
 use tbp_thermal::package::PackageKind;
 
 fn full_spec() -> ScenarioSpec {
@@ -63,12 +62,7 @@ fn shipped_scenario_files_parse_and_round_trip() {
             spec.name
         );
     }
-    // The shipped files start with the built-in constructors' runs, in the
-    // same order; the cross-workload scenarios follow.
-    let built_in = paper_scenarios(Seconds::new(20.0));
     let shipped_names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
-    let built_in_names: Vec<&str> = built_in.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(&shipped_names[..built_in_names.len()], &built_in_names[..]);
     assert!(shipped_names.contains(&"video-analytics"));
     assert!(shipped_names.contains(&"dag-sweep"));
 }
@@ -174,7 +168,8 @@ fn sweep_expansion_counts_multiply_across_axes() {
     let sweep = spec.sweep.clone().unwrap();
     assert_eq!(sweep.cardinality(), 16);
 
-    let figures = paper_scenarios(Seconds::new(20.0));
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let figures = load_dir(&dir).expect("scenarios/ directory loads");
     let threshold_sweeps: Vec<_> = figures
         .iter()
         .filter(|s| s.name.starts_with("threshold-sweep"))

@@ -5,7 +5,7 @@
 //! all drawing goes through a plain character [`Frame`] with **no escape
 //! codes and no timestamps**, so every pane renders deterministically from
 //! `(TraceData, Explorer state)` alone and can be snapshot-tested byte for
-//! byte (`trace_tui --render-once`, the `obs-live-smoke` CI job).
+//! byte (`trace_tui --render-once`, `tests/tui_render.rs`).
 //!
 //! Panes: a track browser (left column, always visible), a selected-track
 //! detail chart, a per-core temperature heatmap, and the windowed spatial-σ

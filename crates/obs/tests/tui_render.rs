@@ -1,7 +1,7 @@
 //! Headless determinism tests for the terminal trace explorer: rendering is
 //! a pure function of the explorer state, so the same trace, key sequence
-//! and frame size must produce byte-identical output — the property the CI
-//! `obs-live-smoke` job checks end to end through the `trace_tui` binary.
+//! and frame size must produce byte-identical output, which is what makes
+//! `trace_tui --render-once` deterministic.
 
 use tbp_obs::tui::{Explorer, Heartbeat, Key, Pane};
 use tbp_obs::{TraceData, TraceReader, TraceWriter, TrackDef, TrackKind};

@@ -29,8 +29,9 @@
 //! The merged [`BatchReport`](tbp_core::scenario::BatchReport) a
 //! coordinator returns is byte-identical to a single-process
 //! [`Runner::run`](tbp_core::scenario::Runner::run) over the same specs, no
-//! matter how many workers died on the way — pinned by the chaos proptest in
-//! `tests/` and the `sweep-chaos-smoke` CI job. Protocol frames, the lease
+//! matter how many workers died on the way — pinned by the chaos tests in
+//! `tests/` and by the seeded-fault rows of `tbp-bench`'s equivalence
+//! harness, which run every shipped scenario. Protocol frames, the lease
 //! state machine and the failure matrix are documented in
 //! `docs/DISTRIBUTED.md`.
 

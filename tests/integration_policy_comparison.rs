@@ -3,10 +3,9 @@
 //! both thermal packages.
 
 use tbp_arch::units::Seconds;
-use tbp_core::experiments::{
-    run_sdr_experiment, run_threshold_sweep, ExperimentConfig, PolicyKind,
-};
+use tbp_core::experiments::{run_sdr_experiment, ExperimentConfig, PolicyKind};
 use tbp_core::metrics::SimulationSummary;
+use tbp_core::scenario::{load_toml_file, Runner};
 use tbp_thermal::package::PackageKind;
 
 fn run(package: PackageKind, policy: PolicyKind, threshold: f64) -> SimulationSummary {
@@ -168,14 +167,23 @@ fn fig11_migration_rate_shape() {
     assert!(hiperf_tight.migrated_kib_per_second() < 1024.0);
 }
 
-/// The full sweep helper runs every (policy, threshold) combination and
-/// returns one point per combination — this is what the figure binaries print.
+/// The shipped Figures 9+10 scenario runs every (policy, threshold)
+/// combination and reports one run per combination — what `reproduce_all`
+/// prints.
 #[test]
 fn threshold_sweep_covers_all_points() {
-    let points = run_threshold_sweep(PackageKind::HighPerformance, Seconds::new(4.0)).unwrap();
-    assert_eq!(points.len(), 3 * 4);
-    for point in &points {
-        assert!(point.summary.measured_time.as_secs() > 3.0);
-        assert!(point.summary.qos.frames_delivered + point.summary.qos.deadline_misses > 0);
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/50_threshold_sweep_hiperf.toml"
+    );
+    let spec = load_toml_file(path)
+        .expect("shipped scenario loads")
+        .with_schedule(8.0, 4.0);
+    let batch = Runner::new().run_spec(&spec).unwrap();
+    assert_eq!(batch.len(), 3 * 4);
+    for report in &batch.reports {
+        let summary = report.summary().expect("every sweep point simulates");
+        assert!(summary.measured_time.as_secs() > 3.0);
+        assert!(summary.qos.frames_delivered + summary.qos.deadline_misses > 0);
     }
 }
