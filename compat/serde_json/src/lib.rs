@@ -83,7 +83,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
 pub fn parse_value_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::new(format!("trailing characters at byte {pos}")));
@@ -184,8 +184,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// The deepest nesting of arrays and objects the parser accepts. Parsing
+/// recurses once per level, so an unbounded depth lets a hostile document
+/// (a corrupt cache entry, a partial report, a wire frame) overflow the stack
+/// and abort the process. The deepest document this workspace writes nests
+/// about ten levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(Error::new(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )));
+    }
     match bytes.get(*pos) {
         None => Err(Error::new("unexpected end of input")),
         Some(b'{') => {
@@ -204,7 +217,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error::new(format!("expected `:` at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -226,7 +239,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Seq(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -250,13 +263,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one piece. Both
+        // are ASCII, so a run never splits a UTF-8 sequence, and validating
+        // each run once keeps the whole parse linear in the document size.
+        let end = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |run| *pos + run);
+        let run = std::str::from_utf8(&bytes[*pos..end])
+            .map_err(|_| Error::new("invalid UTF-8 in string"))?;
+        out.push_str(run);
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err(Error::new("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
+                // A backslash: decode one escape sequence.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -284,14 +309,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                     _ => return Err(Error::new("invalid escape sequence")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -346,6 +363,13 @@ mod tests {
             ("d".into(), Value::Str("x \"y\"\nz".into())),
             ("inf".into(), Value::Float(f64::INFINITY)),
             ("ninf".into(), Value::Float(f64::NEG_INFINITY)),
+            // Escapes and quotes right next to multi-byte characters, control
+            // characters written as `\u` escapes, and runs that end on the
+            // last byte of a 2-, 3- or 4-byte sequence.
+            ("é\"ü".into(), Value::Str("ñ\\\"€\"𝄞\\".into())),
+            ("ctl".into(), Value::Str("\u{1}é\u{1f}\u{7f}\t€\r\n".into())),
+            ("wide".into(), Value::Str("🦀é€𝄞".repeat(3))),
+            ("".into(), Value::Str(String::new())),
         ]);
         let mut compact = String::new();
         write_value(&mut compact, &value, None, 0);
@@ -353,6 +377,36 @@ mod tests {
         let mut pretty = String::new();
         write_value(&mut pretty, &value, Some(2), 0);
         assert_eq!(parse_value_str(&pretty).unwrap(), value);
+
+        // Escapes the writer never emits still decode, wherever they fall.
+        let parsed = parse_value_str(r#"["é€", "a\/é\b\f€", "Aü\\", "é\""]"#);
+        assert_eq!(
+            parsed.unwrap(),
+            Value::Seq(vec![
+                Value::Str("é€".into()),
+                Value::Str("a/é\u{8}\u{c}€".into()),
+                Value::Str("Aü\\".into()),
+                Value::Str("é\"".into()),
+            ])
+        );
+        assert!(parse_value_str(r#""é\q""#).is_err());
+        assert!(parse_value_str(r#""€\u00""#).is_err());
+        assert!(parse_value_str(r#""\ud800""#).is_err());
+        assert!(parse_value_str("\"é€").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // Deep enough to overflow the stack if every level recursed.
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(100_000);
+            let err = parse_value_str(&deep).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper"), "{err}");
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_value_str(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert!(parse_value_str(&past_limit).is_err());
     }
 
     #[test]

@@ -262,6 +262,7 @@ pub fn parse_document(text: &str) -> Result<Value, Error> {
                 parser.bump();
             }
             let path = parser.parse_dotted_key()?;
+            check_depth(path.len())?;
             parser.expect(']')?;
             if array {
                 parser.expect(']')?;
@@ -276,7 +277,10 @@ pub fn parse_document(text: &str) -> Result<Value, Error> {
             path.extend(parser.parse_dotted_key()?);
             parser.skip_spaces();
             parser.expect('=')?;
-            let value = parser.parse_value()?;
+            // The value sits inside one table per path segment but its own.
+            let depth = path.len() - 1;
+            check_depth(depth)?;
+            let value = parser.parse_value(depth)?;
             let (key, parents) = path.split_last().expect("dotted key is never empty");
             let table = ensure_table(&mut root, parents)?;
             let Value::Map(entries) = table else {
@@ -290,6 +294,24 @@ pub fn parse_document(text: &str) -> Result<Value, Error> {
         }
     }
     Ok(root)
+}
+
+/// The deepest nesting of tables and arrays the parser accepts. Parsing
+/// recurses once per array or inline-table level, and dropping the parsed
+/// tree recurses once per level of any kind, so an unbounded depth lets a
+/// hostile scenario file overflow the stack and abort the process. Scenario
+/// files nest only a few levels.
+const MAX_DEPTH: usize = 128;
+
+/// Fails when a table or array would sit `level` levels below the document
+/// root and that is deeper than [`MAX_DEPTH`].
+fn check_depth(level: usize) -> Result<(), Error> {
+    if level > MAX_DEPTH {
+        return Err(Error::new(format!(
+            "nesting deeper than {MAX_DEPTH} levels"
+        )));
+    }
+    Ok(())
 }
 
 /// Walks (creating as needed) the table at `path`, descending into the last
@@ -463,8 +485,12 @@ impl Parser {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    /// Parses one value; `depth` counts the tables and arrays enclosing it.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
         self.skip_spaces();
+        if matches!(self.peek(), Some('[' | '{')) {
+            check_depth(depth + 1)?;
+        }
         match self.peek() {
             None => Err(Error::new("unexpected end of input in value position")),
             Some('"') => Ok(Value::Str(self.parse_basic_string()?)),
@@ -478,7 +504,7 @@ impl Parser {
                         self.bump();
                         return Ok(Value::Seq(items));
                     }
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_trivia();
                     match self.peek() {
                         Some(',') => {
@@ -508,7 +534,9 @@ impl Parser {
                     let path = self.parse_dotted_key()?;
                     self.skip_spaces();
                     self.expect('=')?;
-                    let value = self.parse_value()?;
+                    let inner = depth + path.len();
+                    check_depth(inner)?;
+                    let value = self.parse_value(inner)?;
                     insert_dotted(&mut entries, &path, value)?;
                     self.skip_spaces();
                     match self.bump() {
@@ -741,6 +769,28 @@ nested = { kind = "x", n = 2 }
                 Value::Int(3)
             ]))
         );
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // Each document nests 100 000 levels: arrays, inline tables, dotted
+        // keys and table headers. Every one must be a typed error, not a
+        // stack overflow while parsing or dropping the tree.
+        let deep = [
+            format!("a = {}", "[".repeat(100_000)),
+            format!("a = {}", "{ b = ".repeat(100_000)),
+            format!("{}a = 1\n", "a.".repeat(100_000)),
+            format!("[{}a]\n", "a.".repeat(100_000)),
+            format!("a = {{ {}a = 1 }}\n", "a.".repeat(100_000)),
+        ];
+        for doc in &deep {
+            let err = parse_document(doc).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper"), "{err}");
+        }
+        let at_limit = format!("a = {}{}\n", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_document(&at_limit).is_ok());
+        let past_limit = format!("[t]\n{}", &at_limit);
+        assert!(parse_document(&past_limit).is_err());
     }
 
     #[test]

@@ -147,8 +147,11 @@ impl RunCache for FsCache {
             metrics.loads.inc();
         }
         let path = self.entry_path(key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        let Ok(report) = serde_json::from_str(&text) else {
+        // A missing or unreadable file is a plain miss; bytes that are not
+        // UTF-8 are as corrupt as malformed JSON.
+        let bytes = std::fs::read(&path).ok()?;
+        let parsed = std::str::from_utf8(&bytes).ok().map(serde_json::from_str);
+        let Some(Ok(report)) = parsed else {
             // A crash mid-`store` on a pre-atomic-rename filesystem, a torn
             // copy, or plain disk corruption: quarantine the entry so it (a)
             // stops being re-parsed on every later lookup and (b) stays on
@@ -270,22 +273,37 @@ mod tests {
     fn fs_cache_quarantines_corrupt_entries_as_misses() {
         let dir = temp_dir("corrupt");
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = FsCache::open(&dir).expect("cache opens");
+        let metrics = CacheMetrics::register(&MetricsRegistry::new());
+        let cache = FsCache::open(&dir)
+            .expect("cache opens")
+            .with_metrics(metrics.clone());
         let key = ScenarioHash::of(&ScenarioSpec::new("x")).unwrap();
-        std::fs::write(dir.join(format!("{}.json", key.to_hex())), "{not json").unwrap();
-        assert!(cache.load(&key).is_none());
-        // The torn entry moved aside (no longer counted, preserved on disk)
-        // and a store + load cycle works again afterwards.
-        assert!(cache.is_empty());
-        let quarantined = dir.join(format!("{}.corrupt", key.to_hex()));
-        assert_eq!(
-            std::fs::read_to_string(&quarantined).unwrap(),
-            "{not json",
-            "quarantined bytes are preserved for post-mortems"
-        );
+        let corrupt: [&[u8]; 3] = [
+            b"{not json",
+            // Not UTF-8: a torn multi-byte write or plain disk corruption.
+            b"{\"scenario\": \"\xff\xfe\"}",
+            // Nested past the JSON parser's depth limit.
+            &[b'['; 100_000],
+        ];
+        for (i, bytes) in corrupt.iter().enumerate() {
+            std::fs::write(dir.join(format!("{}.json", key.to_hex())), bytes).unwrap();
+            assert!(cache.load(&key).is_none());
+            // The torn entry moved aside (no longer counted, preserved on
+            // disk) and was counted as corrupt.
+            assert!(cache.is_empty(), "entry {i} stays in place");
+            let quarantined = dir.join(format!("{}.corrupt", key.to_hex()));
+            assert_eq!(
+                std::fs::read(&quarantined).unwrap(),
+                *bytes,
+                "quarantined bytes of entry {i} are preserved for post-mortems"
+            );
+            assert_eq!(metrics.load_corrupt.get(), i as u64 + 1);
+        }
+        // A store + load cycle works again afterwards.
         let report = table_report("x");
         cache.store(&key, &report);
         assert_eq!(cache.load(&key), Some(report));
+        assert_eq!(metrics.load_hits.get(), 1);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

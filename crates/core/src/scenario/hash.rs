@@ -102,16 +102,7 @@ impl ScenarioHash {
                 spec.name
             )));
         }
-        let domain = if spec.has_phases() {
-            HASH_DOMAIN_PHASED
-        } else {
-            HASH_DOMAIN
-        };
-        let mut sha = Sha256::new();
-        sha.update(domain.as_bytes());
-        sha.update(&[0]);
-        sha.update(defaults_fingerprint().as_bytes());
-        sha.update(&[0]);
+        let mut sha = prefix_state(spec.has_phases()).clone();
         sha.update(canonical_json(spec).as_bytes());
         Ok(ScenarioHash(sha.finalize()))
     }
@@ -149,9 +140,11 @@ impl ScenarioHash {
 
     /// The digest as 64 lowercase hex characters (the cache file stem).
     pub fn to_hex(&self) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let mut out = String::with_capacity(64);
         for byte in &self.0 {
-            out.push_str(&format!("{byte:02x}"));
+            out.push(char::from(DIGITS[usize::from(byte >> 4)]));
+            out.push(char::from(DIGITS[usize::from(byte & 0xf)]));
         }
         out
     }
@@ -222,6 +215,28 @@ fn defaults_fingerprint() -> &'static str {
             tbp_streaming::workloads::DagKnobs::default().resolve(),
         )
     })
+}
+
+/// The SHA-256 state after absorbing `domain ‖ 0 ‖ defaults_fingerprint() ‖ 0`,
+/// the prefix every digest of that domain starts with.
+///
+/// The fingerprint is about 3 KB while a spec's canonical JSON is a few
+/// hundred bytes, so re-absorbing it took about four fifths of every
+/// [`ScenarioHash::of`]. Absorbing it once per domain and cloning the state
+/// (about 100 bytes) yields the same digests from the spec's bytes alone.
+fn prefix_state(phased: bool) -> &'static Sha256 {
+    static STATES: std::sync::OnceLock<[Sha256; 2]> = std::sync::OnceLock::new();
+    let states = STATES.get_or_init(|| {
+        [HASH_DOMAIN, HASH_DOMAIN_PHASED].map(|domain| {
+            let mut sha = Sha256::new();
+            sha.update(domain.as_bytes());
+            sha.update(&[0]);
+            sha.update(defaults_fingerprint().as_bytes());
+            sha.update(&[0]);
+            sha
+        })
+    });
+    &states[usize::from(phased)]
 }
 
 /// The canonical JSON preimage of a spec's semantic content: top-level `name`
@@ -304,6 +319,7 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// Plain SHA-256 (FIPS 180-4). The workspace builds without a crates
 /// registry, so the digest is implemented here rather than pulled in.
+#[derive(Clone)]
 struct Sha256 {
     state: [u32; 8],
     buffer: [u8; 64],

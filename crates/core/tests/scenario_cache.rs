@@ -7,8 +7,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use tbp_core::scenario::{
-    load_dir, CacheMetrics, FsCache, MemCache, PartialReport, PlatformSpec, Runner, ScenarioHash,
-    ScenarioSpec, ShardPlan, SweepSpec, WorkloadDecl, WorkloadKind,
+    load_dir, CacheMetrics, FsCache, MemCache, PartialReport, PlatformSpec, RunCache, RunReport,
+    Runner, ScenarioHash, ScenarioSpec, ShardPlan, SweepSpec, WorkloadDecl, WorkloadKind,
 };
 use tbp_core::SimError;
 
@@ -514,5 +514,85 @@ proptest! {
         let merged = PartialReport::merge(partials).expect("round-tripped set merges");
         let single = Runner::new().run_spec(&spec).expect("reference runs");
         prop_assert_eq!(merged.to_csv(), single.to_csv());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Byte-mutation fuzzing of the JSON readers of untrusted bytes: a cache entry
+// or a partial report from disk parses or fails with a typed error. It never
+// panics, and a cache entry is a hit or a miss.
+// ---------------------------------------------------------------------------
+
+/// The golden cache entries of the three workload families.
+const GOLDEN_ENTRIES: [&str; 3] = [
+    include_str!("../../bench/tests/golden/sdr.entry.json"),
+    include_str!("../../bench/tests/golden/dag.entry.json"),
+    include_str!("../../bench/tests/golden/video-analytics.entry.json"),
+];
+
+/// Applies each edit to `bytes`: a flipped bit, an inserted byte (a JSON
+/// delimiter or escape half the time), a deleted byte or a truncation, at a
+/// position drawn from the edit itself.
+fn mutate(bytes: &mut Vec<u8>, edits: &[u64]) {
+    const SIGNIFICANT: &[u8] = b"\"\\{}[],:-.eu0";
+    for &edit in edits {
+        let at = (edit >> 16) as usize % (bytes.len() + 1);
+        let byte = if edit & 0x80 == 0 {
+            SIGNIFICANT[(edit >> 8) as usize % SIGNIFICANT.len()]
+        } else {
+            (edit >> 8) as u8
+        };
+        match edit % 4 {
+            0 if at < bytes.len() => bytes[at] ^= 1 << (byte % 8),
+            1 => bytes.insert(at, byte),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            _ => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mutated_entries_and_partials_never_panic_a_reader(
+        which in 0usize..4,
+        edits in proptest::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let mut bytes = match GOLDEN_ENTRIES.get(which) {
+            Some(entry) => entry.as_bytes().to_vec(),
+            None => {
+                let report: RunReport =
+                    serde_json::from_str(GOLDEN_ENTRIES[1]).expect("golden entry parses");
+                let partial = PartialReport {
+                    shard_index: 1,
+                    shard_count: 1,
+                    start: 0,
+                    total: 1,
+                    batch: "ab".repeat(32),
+                    reports: vec![report],
+                };
+                partial.to_json().into_bytes()
+            }
+        };
+        mutate(&mut bytes, &edits);
+
+        // Ok or Err are both fine; a panic fails the test.
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = serde_json::from_str::<RunReport>(&text);
+        let _ = PartialReport::from_json_str(&text);
+
+        // The raw bytes as an on-disk cache entry: a hit, or a miss that
+        // quarantines the entry.
+        let dir = TempDir::new("fuzz");
+        let cache = FsCache::open(&dir.0).expect("cache opens");
+        let key = ScenarioHash::of(&ScenarioSpec::new("fuzz")).unwrap();
+        std::fs::write(dir.0.join(format!("{key}.json")), &bytes).unwrap();
+        if cache.load(&key).is_none() {
+            prop_assert!(dir.0.join(format!("{key}.corrupt")).exists());
+        }
     }
 }

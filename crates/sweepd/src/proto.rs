@@ -525,6 +525,61 @@ mod tests {
         assert!(matches!(rx.recv(), Err(ProtoError::Oversized(n)) if n == u32::MAX));
     }
 
+    /// Applies each edit to `bytes`: a flipped bit, an inserted byte (a JSON
+    /// delimiter or escape half the time), a deleted byte or a truncation,
+    /// at a position drawn from the edit itself.
+    fn mutate(bytes: &mut Vec<u8>, edits: &[u64]) {
+        const SIGNIFICANT: &[u8] = b"\"\\{}[],:-.eu0";
+        for &edit in edits {
+            let at = (edit >> 16) as usize % (bytes.len() + 1);
+            let byte = if edit & 0x80 == 0 {
+                SIGNIFICANT[(edit >> 8) as usize % SIGNIFICANT.len()]
+            } else {
+                (edit >> 8) as u8
+            };
+            match edit % 4 {
+                0 if at < bytes.len() => bytes[at] ^= 1 << (byte % 8),
+                1 => bytes.insert(at, byte),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                3 => bytes.truncate(at),
+                _ => {}
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A CRC-valid payload can still be hostile: whatever its bytes, it
+        /// decodes or fails as `Malformed`, never panics.
+        #[test]
+        fn mutated_payloads_decode_or_fail_typed(
+            which in 0usize..6,
+            edits in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..6),
+        ) {
+            let report = serde_json::from_str(include_str!(
+                "../../bench/tests/golden/dag.entry.json"
+            ))
+            .expect("golden entry parses");
+            let mut msgs = sample_msgs();
+            msgs.push(Msg::Result(LeaseResult {
+                lease: 4,
+                index: 2,
+                report,
+            }));
+            let mut payload = encode_frame(&msgs[which]).split_off(12);
+            mutate(&mut payload, &edits);
+            for bytes in [&payload[..], String::from_utf8_lossy(&payload).as_bytes()] {
+                match decode_payload(bytes) {
+                    Ok(_) | Err(ProtoError::Malformed(_)) => {}
+                    Err(other) => panic!("unexpected decode error {other}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn torn_frame_waits_for_the_rest_instead_of_erroring() {
         let (mut client, server) = pair();
