@@ -293,18 +293,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
+                        let mut code = parse_hex4(bytes, *pos + 1)?;
+                        *pos += 4;
+                        // A character outside the Basic Multilingual Plane is
+                        // a high surrogate escape followed by a low one.
+                        if (0xD800..0xDC00).contains(&code)
+                            && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                        {
+                            let low = parse_hex4(bytes, *pos + 3)?;
+                            if (0xDC00..0xE000).contains(&low) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
                         out.push(
                             char::from_u32(code)
                                 .ok_or_else(|| Error::new("invalid \\u code point"))?,
                         );
-                        *pos += 4;
                     }
                     _ => return Err(Error::new("invalid escape sequence")),
                 }
@@ -312,6 +317,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
             }
         }
     }
+}
+
+/// The code unit of the four hex digits at `at`, exactly four: no sign, no
+/// fewer.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, Error> {
+    let digits = bytes
+        .get(at..at + 4)
+        .ok_or_else(|| Error::new("truncated \\u escape"))?;
+    digits.iter().try_fold(0, |code, &digit| {
+        let value = char::from(digit)
+            .to_digit(16)
+            .ok_or_else(|| Error::new("invalid \\u escape"))?;
+        Ok(code << 4 | value)
+    })
 }
 
 fn parse_scalar(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
@@ -393,6 +412,40 @@ mod tests {
         assert!(parse_value_str(r#""€\u00""#).is_err());
         assert!(parse_value_str(r#""\ud800""#).is_err());
         assert!(parse_value_str("\"é€").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            parse_value_str(r#""\u0041\u00e9""#).unwrap(),
+            Value::Str("Aé".into())
+        );
+        for signed in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04g1""#] {
+            assert!(parse_value_str(signed).is_err(), "{signed} parsed");
+        }
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_character() {
+        // What Python's `json.dumps` writes for characters beyond the BMP.
+        assert_eq!(
+            parse_value_str(r#""\ud83d\ude00 \uD834\uDD1E""#).unwrap(),
+            Value::Str("😀 𝄞".into())
+        );
+    }
+
+    #[test]
+    fn lone_surrogate_escapes_are_rejected() {
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\ud83d""#,
+        ] {
+            assert!(parse_value_str(lone).is_err(), "{lone} parsed");
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!
 //! * `--connect <host:port>` (required) — the coordinator's address.
 //! * `--cache-dir <dir>` / `--lanes <n>` — runner configuration, exactly as
-//!   in `run_scenario`.
+//!   in `run_scenario`. A lease carries one case, which runs alone, so
+//!   `--lanes` only affects `--local-fallback`.
 //! * `--name <s>` — worker name in coordinator diagnostics (default
 //!   `worker`).
 //! * `--heartbeat <s>` — heartbeat period while computing or idle (default

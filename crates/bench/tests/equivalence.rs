@@ -26,14 +26,17 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tbp_core::scenario::{
     load_dir, BatchReport, FsCache, PartialReport, Runner, RunnerMetrics, ScenarioHash,
     ScenarioSpec, ShardPlan,
 };
 use tbp_obs::{MetricsRegistry, MetricsSnapshot, TraceReader};
-use tbp_sweepd::{CoordConfig, Coordinator, FaultPlan, Worker, WorkerConfig};
+use tbp_sweepd::{
+    CoordConfig, CoordMetrics, Coordinator, FaultAction, FaultPlan, Worker, WorkerConfig,
+    WorkerMetrics, WorkerOutcome,
+};
 
 /// The reference batch and the specs it ran.
 struct Reference {
@@ -118,14 +121,26 @@ fn paths() -> Vec<(&'static str, PathRun)> {
             "3 shards, out of order, through partial JSON, merged",
             shards,
         ),
+        // A seeded plan's frame faults fire only if the worker gets that far:
+        // seed 4 stalls at its first lease, before its drop (frame 8) and
+        // corrupt (frame 5), and seed 8 is killed at lease 3, before its
+        // corrupt frames 11 and 12. The explicit plans fire those kinds.
         ("sweepd, chaos seed 0 (corrupt, delay)", |specs| {
-            sweepd(specs, 0)
+            sweepd(specs, FaultPlan::from_seed(0), &[Fault::Corrupt])
         }),
-        ("sweepd, chaos seed 4 (drop, corrupt, stall)", |specs| {
-            sweepd(specs, 4)
+        ("sweepd, chaos seed 4 (stall)", |specs| {
+            sweepd(specs, FaultPlan::from_seed(4), &[Fault::Stall])
         }),
-        ("sweepd, chaos seed 8 (corrupt, kill)", |specs| {
-            sweepd(specs, 8)
+        ("sweepd, chaos seed 8 (kill)", |specs| {
+            sweepd(specs, FaultPlan::from_seed(8), &[Fault::Kill])
+        }),
+        ("sweepd, drop=2,corrupt=3,stall-at-lease=4", |specs| {
+            let plan = FaultPlan::parse("drop=2,corrupt=3,stall-at-lease=4").expect("plan parses");
+            sweepd(specs, plan, &[Fault::Drop, Fault::Corrupt, Fault::Stall])
+        }),
+        ("sweepd, corrupt=2,kill-at-lease=3", |specs| {
+            let plan = FaultPlan::parse("corrupt=2,kill-at-lease=3").expect("plan parses");
+            sweepd(specs, plan, &[Fault::Corrupt, Fault::Kill])
         }),
         ("FsCache cold, then warm", cold_then_warm),
         ("traced twice", traced_twice),
@@ -149,9 +164,27 @@ fn shards(specs: &[ScenarioSpec]) -> BatchReport {
     PartialReport::merge(partials).expect("complete set merges")
 }
 
-/// An in-process coordinator with one worker on a seeded fault plan and
-/// one healthy worker, which guarantees completion.
-fn sweepd(specs: &[ScenarioSpec], seed: u64) -> BatchReport {
+/// A fault a sweepd row claims, asserted after the row's run. A delay leaves
+/// no trace to assert.
+enum Fault {
+    /// The worker corrupted a frame and the coordinator rejected it.
+    Corrupt,
+    /// The worker dropped a frame.
+    Drop,
+    /// The worker stalled, and its lease expired by deadline.
+    Stall,
+    /// The worker was killed.
+    Kill,
+}
+
+/// An in-process coordinator with one worker on `plan` and one healthy
+/// worker, which guarantees completion. The healthy worker starts only once
+/// the chaotic one has left service or, when the plan never removes it, has
+/// delivered as many results as the last frame the plan faults (its `HELLO`
+/// comes first, so that many results take it past that frame). Every fault
+/// the plan can reach fires before the batch can end.
+fn sweepd(specs: &[ScenarioSpec], plan: FaultPlan, claims: &[Fault]) -> BatchReport {
+    let registry = MetricsRegistry::new();
     let coordinator = Coordinator::bind(
         "127.0.0.1:0",
         specs,
@@ -163,33 +196,69 @@ fn sweepd(specs: &[ScenarioSpec], seed: u64) -> BatchReport {
             fault: FaultPlan::none(),
         },
     )
-    .expect("coordinator binds an ephemeral port");
+    .expect("coordinator binds an ephemeral port")
+    .with_metrics(CoordMetrics::register(&registry));
     let addr = coordinator.local_addr().expect("bound address").to_string();
     let coord = std::thread::spawn(move || coordinator.run());
-    let workers: Vec<_> = [FaultPlan::from_seed(seed), FaultPlan::none()]
-        .into_iter()
-        .enumerate()
-        .map(|(i, fault)| {
-            let config = WorkerConfig {
-                name: format!("w{i}"),
-                heartbeat: Duration::from_millis(50),
-                backoff_base: Duration::from_millis(10),
-                backoff_cap: Duration::from_millis(50),
-                max_retries: 3,
-                seed: i as u64,
-                fault,
-                local_fallback: false,
-                stall_duration: Duration::from_millis(600),
-                hello_timeout: Duration::from_millis(500),
-            };
-            let worker = Worker::new(addr.clone(), specs, Runner::sequential(), config)
-                .expect("worker prepares");
-            std::thread::spawn(move || worker.run())
-        })
-        .collect();
+    let worker = |i: u64, fault: FaultPlan| {
+        let config = WorkerConfig {
+            name: format!("w{i}"),
+            heartbeat: Duration::from_millis(50),
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(50),
+            max_retries: 3,
+            seed: i,
+            fault,
+            local_fallback: false,
+            stall_duration: Duration::from_millis(600),
+            hello_timeout: Duration::from_millis(500),
+        };
+        let worker = Worker::new(addr.clone(), specs, Runner::sequential(), config)
+            .expect("worker prepares")
+            .with_metrics(WorkerMetrics::register(&registry));
+        std::thread::spawn(move || worker.run())
+    };
+    let last_frame = (1..=64)
+        .filter(|&seq| plan.action(seq) != FaultAction::Deliver)
+        .max()
+        .unwrap_or(0);
+    let leaves = plan.kill_at_lease().is_some() || plan.stall_at_lease().is_some();
+    let results = registry.counter("sweepd.worker_results");
+    let chaotic = worker(0, plan);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !(chaotic.is_finished() || (!leaves && results.get() >= last_frame)) {
+        assert!(
+            Instant::now() < deadline,
+            "the chaotic worker stopped short"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let healthy = worker(1, FaultPlan::none());
     let batch = coord.join().expect("coordinator thread completes");
-    for worker in workers {
-        let _ = worker.join().expect("worker thread completes");
+    let outcome = chaotic.join().expect("worker thread completes");
+    let _ = healthy.join().expect("worker thread completes");
+    let count = |name: &str| registry.counter(name).get();
+    for claim in claims {
+        match claim {
+            Fault::Corrupt => assert!(
+                count("sweepd.worker_frames_corrupted") >= 1
+                    && count("sweepd.frames_rejected") >= 1,
+                "no frame was corrupted and rejected"
+            ),
+            Fault::Drop => assert!(
+                count("sweepd.worker_frames_dropped") >= 1,
+                "no frame was dropped"
+            ),
+            Fault::Stall => assert!(
+                matches!(outcome, Ok(WorkerOutcome::Stalled { .. }))
+                    && count("sweepd.leases_expired") >= 1,
+                "the worker did not stall into an expired lease: {outcome:?}"
+            ),
+            Fault::Kill => assert!(
+                matches!(outcome, Ok(WorkerOutcome::Killed { .. })),
+                "the worker was not killed: {outcome:?}"
+            ),
+        }
     }
     batch.expect("batch completes despite the fault plan")
 }

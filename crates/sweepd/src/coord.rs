@@ -5,9 +5,12 @@
 //! their heartbeat-renewed deadlines, and a
 //! [`BatchAssembler`] collecting
 //! results. Worker connections are served by one thread each; a reaper in
-//! the accept loop returns expired leases to the queue. The lease state
-//! machine and the full failure matrix are documented in
-//! `docs/DISTRIBUTED.md`.
+//! the accept loop returns expired leases to the queue. The accept loop and
+//! every connection with nothing to lease sleep on one condition variable,
+//! which the result filling the last slot and every requeue notify: the
+//! batch ends, and a returned lease is re-granted, at once rather than at
+//! the next tick. The lease state machine and the full failure matrix are
+//! documented in `docs/DISTRIBUTED.md`.
 //!
 //! Correctness invariants:
 //!
@@ -24,7 +27,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use tbp_core::scenario::{expand_work, BatchAssembler, BatchReport, ScenarioSpec, WorkItem};
@@ -41,7 +44,9 @@ use crate::SweepError;
 pub struct CoordConfig {
     /// Lease lifetime granted at issue and on every heartbeat.
     pub lease_timeout: Duration,
-    /// Reaper/housekeeping tick (also the connection read timeout).
+    /// Reaper cadence: how often overdue leases expire and the completion
+    /// timeout is checked. Also the connection read timeout, so a
+    /// connection whose lease expired takes another within one tick.
     pub tick: Duration,
     /// How long a fresh connection may take to send its `HELLO`.
     pub hello_timeout: Duration,
@@ -124,6 +129,8 @@ struct CoordState {
 /// Shared context every connection thread sees.
 struct Shared {
     state: Mutex<CoordState>,
+    /// Notified when the batch ends or a lease returns to the queue.
+    wake: Condvar,
     items: Vec<WorkItem>,
     digest: String,
     config: CoordConfig,
@@ -133,6 +140,15 @@ struct Shared {
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, CoordState> {
         self.state.lock().expect("coordinator state lock poisoned")
+    }
+
+    /// Sleeps until the batch ends or a lease returns to the queue, at most
+    /// one tick.
+    fn wait<'a>(&self, state: MutexGuard<'a, CoordState>) -> MutexGuard<'a, CoordState> {
+        self.wake
+            .wait_timeout(state, self.config.tick)
+            .expect("coordinator state lock poisoned")
+            .0
     }
 
     fn publish_queue_depth(&self, state: &CoordState) {
@@ -146,6 +162,7 @@ impl Shared {
     fn requeue(&self, state: &mut CoordState, lease: ActiveLease) {
         if !state.assembler.is_filled(lease.index) {
             state.queue.push_back(lease.index);
+            self.wake.notify_all();
         }
         self.publish_queue_depth(state);
     }
@@ -187,6 +204,7 @@ impl Coordinator {
                     next_lease: 0,
                     done: false,
                 }),
+                wake: Condvar::new(),
                 items,
                 digest,
                 config,
@@ -230,30 +248,33 @@ impl Coordinator {
         let started = Instant::now();
         let mut handles = Vec::new();
         loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    handles.push(std::thread::spawn(move || serve_conn(&shared, stream)));
+            loop {
+                match self.listener.accept() {
+                    Ok((stream, _)) => {
+                        let shared = Arc::clone(&self.shared);
+                        handles.push(std::thread::spawn(move || serve_conn(&shared, stream)));
+                    }
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        break
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(SweepError::Io(e)),
                 }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(SweepError::Io(e)),
             }
 
-            {
-                let mut state = self.shared.lock();
-                reap_expired(&self.shared, &mut state);
-                if state.assembler.is_complete() {
-                    state.done = true;
-                }
-            }
-            if self.shared.lock().done {
+            let mut state = self.shared.lock();
+            reap_expired(&self.shared, &mut state);
+            // The last result already ended the batch; an empty batch has no
+            // last result, so it ends here.
+            if state.assembler.is_complete() {
+                state.done = true;
+                self.shared.wake.notify_all();
                 break;
             }
             if let Some(limit) = self.shared.config.completion_timeout {
                 if started.elapsed() > limit {
-                    let mut state = self.shared.lock();
                     state.done = true;
+                    self.shared.wake.notify_all();
                     let missing = state.assembler.missing();
                     drop(state);
                     for handle in handles {
@@ -268,10 +289,11 @@ impl Coordinator {
                     )));
                 }
             }
-            std::thread::sleep(self.shared.config.tick);
+            drop(self.shared.wait(state));
         }
-        // Connection threads notice `done` within one tick, send SHUTDOWN
-        // and exit.
+        // Every idle connection woke with the batch's end, sends SHUTDOWN
+        // and exits. One whose worker still computes a duplicate follows at
+        // its next frame or within one tick.
         for handle in handles {
             let _ = handle.join();
         }
@@ -400,18 +422,34 @@ fn serve_leases(shared: &Shared, tx: &mut FrameSender, rx: &mut FrameReceiver) -
     // time): what we reclaim if the connection drops.
     let mut current: Option<u64> = None;
     let end = loop {
-        if shared.lock().done {
+        let mut state = shared.lock();
+        if state.done {
+            drop(state);
             let _ = tx.send(&Msg::Shutdown(Shutdown {
                 reason: "batch complete".to_string(),
             }));
             break ConnEnd::Shutdown;
         }
-        if current.is_none() {
-            if let Some((id, lease)) = grant(shared) {
-                current = Some(id);
-                if tx.send(&Msg::Lease(lease)).is_err() {
-                    break ConnEnd::Closed;
-                }
+        // A lease is gone from the table once its result landed or the
+        // reaper expired it; either way the worker is free for another.
+        if current.is_some_and(|id| !state.leases.contains_key(&id)) {
+            current = None;
+        }
+        if current.is_some() {
+            drop(state);
+        } else if let Some(lease) = grant(shared, &mut state) {
+            drop(state);
+            current = Some(lease.lease);
+            if tx.send(&Msg::Lease(lease)).is_err() {
+                break ConnEnd::Closed;
+            }
+        } else {
+            // Nothing to lease: sleep until the batch ends or a lease comes
+            // back. Read only what the worker has already sent, so a
+            // blocking read never sleeps through a wake-up.
+            drop(shared.wait(state));
+            if !rx.ready() {
+                continue;
             }
         }
         match rx.recv() {
@@ -447,10 +485,12 @@ fn serve_leases(shared: &Shared, tx: &mut FrameSender, rx: &mut FrameReceiver) -
                     }
                 }
                 state.leases.remove(&result.lease);
-                if current == Some(result.lease) {
-                    current = None;
-                }
                 shared.publish_queue_depth(&state);
+                if state.assembler.is_complete() {
+                    // End the batch on its last result, not at the next tick.
+                    state.done = true;
+                    shared.wake.notify_all();
+                }
             }
             Ok(Some(Msg::Nack(_)) | Some(Msg::Hello(_))) => break ConnEnd::Closed,
             Ok(Some(Msg::Lease(_)) | Some(Msg::Shutdown(_))) => {
@@ -477,8 +517,7 @@ fn serve_leases(shared: &Shared, tx: &mut FrameSender, rx: &mut FrameReceiver) -
 
 /// Pops the next unfinished index off the queue and registers a lease for
 /// it.
-fn grant(shared: &Shared) -> Option<(u64, Lease)> {
-    let mut state = shared.lock();
+fn grant(shared: &Shared, state: &mut CoordState) -> Option<Lease> {
     let index = loop {
         let candidate = state.queue.pop_front()?;
         if !state.assembler.is_filled(candidate) {
@@ -497,17 +536,14 @@ fn grant(shared: &Shared) -> Option<(u64, Lease)> {
     if let Some(m) = &shared.metrics {
         m.leases_granted.inc();
     }
-    shared.publish_queue_depth(&state);
+    shared.publish_queue_depth(state);
     let item = &shared.items[index];
-    Some((
-        id,
-        Lease {
-            lease: id,
-            index: index as u64,
-            scenario: item.case.name.clone(),
-            deadline_ms: shared.config.lease_timeout.as_millis() as u64,
-        },
-    ))
+    Some(Lease {
+        lease: id,
+        index: index as u64,
+        scenario: item.case.name.clone(),
+        deadline_ms: shared.config.lease_timeout.as_millis() as u64,
+    })
 }
 
 /// Counts a protocol-layer rejection and drops the connection: after a CRC

@@ -46,6 +46,10 @@ pub const FRAME_MAGIC: [u8; 4] = *b"TSWP";
 /// allocating.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
+/// A frame payload is read in steps of at most this many bytes, so the
+/// receiver's memory follows the bytes that actually arrived.
+const READ_STEP: usize = 64 * 1024;
+
 /// The messages of the sweep protocol.
 ///
 /// Direction conventions: `Hello` opens both directions of the handshake
@@ -351,13 +355,34 @@ impl FrameReceiver {
         }
         self.read_rest(&mut word)?;
         let stored = u32::from_le_bytes(word);
-        let mut payload = vec![0u8; len as usize];
-        self.read_rest(&mut payload)?;
+        // Grow the buffer as the bytes arrive: a hostile header alone must
+        // not make the receiver allocate up to `MAX_FRAME_BYTES`.
+        let len = len as usize;
+        let mut payload = Vec::new();
+        while payload.len() < len {
+            let filled = payload.len();
+            payload.resize(len.min(filled + READ_STEP), 0);
+            self.read_rest(&mut payload[filled..])?;
+        }
         let computed = crc32(&payload);
         if stored != computed {
             return Err(ProtoError::CrcMismatch { stored, computed });
         }
         decode_payload(&payload).map(Some)
+    }
+
+    /// Whether the peer has sent anything not yet received (a frame, or
+    /// the end of the stream). Never blocks; when the socket cannot tell,
+    /// it answers `true` and lets [`recv`](Self::recv) report the error.
+    pub(crate) fn ready(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return true;
+        }
+        let peeked = self.stream.peek(&mut [0u8; 1]);
+        if self.stream.set_nonblocking(false).is_err() {
+            return true;
+        }
+        !matches!(peeked, Err(e) if e.kind() == ErrorKind::WouldBlock)
     }
 
     /// Reads the remainder of a frame: timeouts keep waiting (bounded by

@@ -25,6 +25,7 @@
 //!   the worker at a given lease, for deterministic chaos tests.
 
 use std::net::TcpStream;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use tbp_core::scenario::{expand_work, BatchReport, Runner, ScenarioSpec, WorkItem};
@@ -436,8 +437,9 @@ impl Worker {
         }
     }
 
-    /// Runs one leased scenario on a helper thread while this thread
-    /// heartbeats the lease.
+    /// Runs one leased scenario on a helper thread while this thread waits
+    /// for its result, heartbeating the lease each time a whole heartbeat
+    /// period passes without one. The lease ends as soon as its case does.
     fn compute(
         &self,
         item: &WorkItem,
@@ -445,24 +447,27 @@ impl Worker {
         tx: &mut FrameSender,
     ) -> Result<tbp_core::scenario::RunReport, SimError> {
         std::thread::scope(|scope| {
+            let (done, result) = mpsc::channel();
             let runner = &self.runner;
-            let handle = scope.spawn(move || runner.run_one(&item.group, &item.case));
-            let mut last_heartbeat = Instant::now();
-            while !handle.is_finished() {
-                std::thread::sleep(Duration::from_millis(5));
-                if last_heartbeat.elapsed() >= self.config.heartbeat {
-                    // A failed heartbeat is not fatal to the computation:
-                    // finish it (the work is already paid for) and let the
-                    // result delivery discover the connection state.
-                    if tx.send(&Msg::Heartbeat(Heartbeat { lease })).is_ok() {
-                        if let Some(m) = &self.metrics {
-                            m.heartbeats.inc();
+            scope.spawn(move || {
+                // The receiver outlives the send: this thread waits for it.
+                let _ = done.send(runner.run_one(&item.group, &item.case));
+            });
+            loop {
+                match result.recv_timeout(self.config.heartbeat) {
+                    Err(RecvTimeoutError::Timeout) => {
+                        // A failed heartbeat is not fatal to the computation:
+                        // finish it (the work is already paid for) and let
+                        // the result delivery discover the connection state.
+                        if tx.send(&Msg::Heartbeat(Heartbeat { lease })).is_ok() {
+                            if let Some(m) = &self.metrics {
+                                m.heartbeats.inc();
+                            }
                         }
                     }
-                    last_heartbeat = Instant::now();
+                    report => return report.expect("scenario thread never panics"),
                 }
             }
-            handle.join().expect("scenario thread never panics")
         })
     }
 
