@@ -28,7 +28,6 @@ fn build_lane_sim(solver: SolverKind, step_ms: f64, cores: usize, policy_ms: f64
         .with_solver(solver)
         .with_workload(Workload::sdr())
         .with_config(SimulationConfig {
-            trace_interval: None,
             time_step: Seconds::from_millis(step_ms),
             policy_period: Seconds::from_millis(policy_ms.max(step_ms).max(10.0)),
             ..SimulationConfig::paper_default()

@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release -p tbp-bench --bin trace_explore -- <file.tbptrace>
 //!     [--window <seconds>]           # windowed stats instead of track table
-//!     [--export perfetto|json|csv]   # convert instead of summarising
+//!     [--export perfetto|csv]        # convert instead of summarising
 //!     [--out <file>]                 # write the export to a file
 //!     [--follow]                     # tail a live trace as it is written
 //!     [--follow-timeout <seconds>]   # give up when the writer stalls
@@ -18,7 +18,7 @@
 //! run into fixed windows with the spatial temperature σ (the paper's
 //! headline balancing metric) and the migration rate per window. `--export
 //! perfetto` emits Chrome-trace JSON that `ui.perfetto.dev` opens directly;
-//! `json` is the legacy in-memory recorder shape; `csv` is long-format.
+//! `csv` is long-format.
 //!
 //! `--follow` opens the trace while the producing run is still writing it
 //! and streams the windowed stats: each window row is printed as soon as it
@@ -29,32 +29,40 @@
 //! writer that went quiet; `--follow-timeout <seconds>` arms the tailer's
 //! stall detector instead, turning a crashed producer into a clean one-line
 //! failure (exit code 1) rather than a hung terminal.
+//!
+//! Like the other binaries, a bad invocation (unknown flag or export format,
+//! missing value) exits 2 and a runtime failure (unreadable or corrupt
+//! trace) exits 1, each with one `error:` line on stderr.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use tbp_obs::export::{to_csv, to_legacy_json, to_perfetto_json};
+use tbp_bench::{fail, fail_usage};
+use tbp_obs::export::{to_csv, to_perfetto_json};
 use tbp_obs::stats::{series_stats, sparkline, windowed_stats, WindowStat};
-use tbp_obs::{TraceData, TraceError, TraceReader, TraceTailer};
+use tbp_obs::{TraceData, TraceReader, TraceTailer};
+
+const USAGE: &str = "usage: trace_explore <file.tbptrace> [--window <s>] \
+                     [--export perfetto|csv] [--out <file>] [--follow] \
+                     [--follow-timeout <s>]";
 
 fn main() {
+    tbp_bench::exit_cleanly_on_panic();
     let cli = Cli::parse(std::env::args().skip(1));
     if cli.follow {
         follow(&cli.file, cli.window.unwrap_or(1.0), cli.follow_timeout);
         return;
     }
     let data = TraceReader::read_file(&cli.file)
-        .unwrap_or_else(|e| panic!("cannot read trace {}: {e}", cli.file.display()));
-    if let Some(format) = &cli.export {
-        let rendered = match format.as_str() {
-            "perfetto" => to_perfetto_json(&data),
-            "json" => to_legacy_json(&data),
-            "csv" => to_csv(&data),
-            other => panic!("unknown export format `{other}` (known: perfetto, json, csv)"),
+        .unwrap_or_else(|e| fail(format!("cannot read trace {}: {e}", cli.file.display())));
+    if let Some(export) = cli.export {
+        let rendered = match export {
+            Export::Perfetto => to_perfetto_json(&data),
+            Export::Csv => to_csv(&data),
         };
         match &cli.out {
             Some(path) => std::fs::write(path, rendered)
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display())),
+                .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", path.display()))),
             None => print!("{rendered}"),
         }
         return;
@@ -65,10 +73,16 @@ fn main() {
     }
 }
 
+#[derive(Clone, Copy)]
+enum Export {
+    Perfetto,
+    Csv,
+}
+
 struct Cli {
     file: PathBuf,
     window: Option<f64>,
-    export: Option<String>,
+    export: Option<Export>,
     out: Option<PathBuf>,
     follow: bool,
     follow_timeout: Option<Duration>,
@@ -86,58 +100,55 @@ impl Cli {
         fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
             match args.next() {
                 Some(v) if !v.starts_with("--") => v,
-                _ => panic!("{flag} needs a value"),
+                _ => fail_usage(format!("{flag} needs a value\n{USAGE}")),
+            }
+        }
+        fn seconds(args: &mut impl Iterator<Item = String>, flag: &str) -> f64 {
+            let v = value(args, flag);
+            match v.parse::<f64>() {
+                Ok(secs) if secs.is_finite() && secs > 0.0 => secs,
+                _ => fail_usage(format!(
+                    "{flag} needs a positive duration in seconds, got `{v}`"
+                )),
             }
         }
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--window" => {
-                    let v = value(&mut args, "--window");
-                    let secs: f64 = v.parse().unwrap_or_else(|_| {
-                        panic!("--window needs a duration in seconds, got `{v}`")
-                    });
-                    assert!(
-                        secs.is_finite() && secs > 0.0,
-                        "--window must be positive, got {secs}"
-                    );
-                    window = Some(secs);
+                "--window" => window = Some(seconds(&mut args, "--window")),
+                "--export" => {
+                    export = Some(match value(&mut args, "--export").as_str() {
+                        "perfetto" => Export::Perfetto,
+                        "csv" => Export::Csv,
+                        other => fail_usage(format!(
+                            "unknown export format `{other}` (known: perfetto, csv)"
+                        )),
+                    })
                 }
-                "--export" => export = Some(value(&mut args, "--export")),
                 "--out" => out = Some(PathBuf::from(value(&mut args, "--out"))),
                 "--follow" => follow = true,
                 "--follow-timeout" => {
-                    let v = value(&mut args, "--follow-timeout");
-                    let secs: f64 = v.parse().unwrap_or_else(|_| {
-                        panic!("--follow-timeout needs a duration in seconds, got `{v}`")
-                    });
-                    assert!(
-                        secs.is_finite() && secs > 0.0,
-                        "--follow-timeout must be positive, got {secs}"
-                    );
+                    let secs = seconds(&mut args, "--follow-timeout");
                     follow_timeout = Some(Duration::from_secs_f64(secs));
                 }
-                other if other.starts_with("--") => panic!("unknown flag `{other}`"),
+                other if other.starts_with("--") => {
+                    fail_usage(format!("unknown flag `{other}`\n{USAGE}"))
+                }
                 other => {
-                    assert!(file.is_none(), "more than one trace file given");
+                    if file.is_some() {
+                        fail_usage(format!("more than one trace file given\n{USAGE}"));
+                    }
                     file = Some(PathBuf::from(other));
                 }
             }
         }
-        assert!(
-            !(follow && export.is_some()),
-            "--follow streams windowed stats and cannot be combined with --export"
-        );
-        assert!(
-            follow || follow_timeout.is_none(),
-            "--follow-timeout only makes sense with --follow"
-        );
+        if follow && export.is_some() {
+            fail_usage("--follow streams windowed stats and cannot be combined with --export");
+        }
+        if !follow && follow_timeout.is_some() {
+            fail_usage("--follow-timeout only makes sense with --follow");
+        }
         Cli {
-            file: file.unwrap_or_else(|| {
-                panic!(
-                    "usage: trace_explore <file.tbptrace> [--window <s>] \
-                     [--export perfetto|json|csv] [--out <file>] [--follow]"
-                )
-            }),
+            file: file.unwrap_or_else(|| fail_usage(USAGE)),
             window,
             export,
             out,
@@ -159,11 +170,11 @@ fn follow(path: &Path, window: f64, stall_timeout: Option<Duration>) {
     let mut tailer = loop {
         match TraceTailer::open(path) {
             Ok(tailer) => break tailer,
-            Err(e) if opened.elapsed() < OPEN_TIMEOUT => {
-                let _ = e;
-                std::thread::sleep(POLL);
-            }
-            Err(e) => panic!("cannot open trace {} for tailing: {e}", path.display()),
+            Err(_) if opened.elapsed() < OPEN_TIMEOUT => std::thread::sleep(POLL),
+            Err(e) => fail(format!(
+                "cannot open trace {} for tailing: {e}",
+                path.display()
+            )),
         }
     };
     if let Some(timeout) = stall_timeout {
@@ -175,13 +186,9 @@ fn follow(path: &Path, window: f64, stall_timeout: Option<Duration>) {
     );
     let mut printed = 0usize;
     loop {
-        let progress = match tailer.poll() {
-            Ok(progress) => progress,
-            Err(e @ TraceError::WriterStalled { .. }) => {
-                tbp_bench::fail(format!("{}: {e}", path.display()))
-            }
-            Err(e) => panic!("cannot tail {}: {e}", path.display()),
-        };
+        let progress = tailer
+            .poll()
+            .unwrap_or_else(|e| fail(format!("cannot tail {}: {e}", path.display())));
         let windows = windowed_stats(tailer.data(), window);
         // While the writer is running, the final window is still filling (it
         // would stretch as samples land), so only completed windows print;
@@ -200,17 +207,20 @@ fn follow(path: &Path, window: f64, stall_timeout: Option<Duration>) {
         }
         std::thread::sleep(POLL);
     }
-    let tailed = tailer
-        .into_data()
-        .unwrap_or_else(|e| panic!("tailed trace {} is incomplete: {e}", path.display()));
+    let tailed = tailer.into_data().unwrap_or_else(|e| {
+        fail(format!(
+            "tailed trace {} is incomplete: {e}",
+            path.display()
+        ))
+    });
     let posthoc = TraceReader::read_file(path)
-        .unwrap_or_else(|e| panic!("cannot re-read trace {}: {e}", path.display()));
-    assert_eq!(
-        tailed,
-        posthoc,
-        "tailed samples diverged from the post-hoc read of {}",
-        path.display()
-    );
+        .unwrap_or_else(|e| fail(format!("cannot re-read trace {}: {e}", path.display())));
+    if tailed != posthoc {
+        fail(format!(
+            "tailed samples diverged from the post-hoc read of {}",
+            path.display()
+        ));
+    }
     println!(
         "tail verified: {} records byte-identical to post-hoc read",
         posthoc.total_records()

@@ -29,32 +29,41 @@
 //! Raw terminal mode is entered via `stty` and restored on exit (including
 //! panics unwinding through the guard); when stdin is not a terminal the
 //! binary degrades to `--render-once`.
+//!
+//! Like the other binaries, a bad invocation exits 2 and an unreadable or
+//! corrupt trace exits 1, each with one `error:` line on stderr. The trace is
+//! read before the terminal enters raw mode, so a failure leaves it intact.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use tbp_bench::{fail, fail_usage};
 use tbp_obs::tui::{Explorer, Frame, Heartbeat, Key};
 use tbp_obs::{MetricsSnapshot, TraceData, TraceError, TraceReader, TraceTailer};
 
+const USAGE: &str = "usage: trace_tui <file.tbptrace> [--follow] [--metrics <jsonl>] \
+                     [--window <s>] [--render-once] [--width <cols>] [--height <rows>]";
+
 fn main() {
+    tbp_bench::exit_cleanly_on_panic();
     let cli = Cli::parse(std::env::args().skip(1));
     let label = cli
         .file
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| cli.file.display().to_string());
-    if cli.render_once {
-        render_once(&cli, &label);
-        return;
-    }
-    match RawMode::enter() {
-        Some(raw) => interactive(&cli, &label, raw),
-        None => {
-            // Not a terminal (pipe, CI, redirect): fall back to one frame.
-            render_once(&cli, &label);
-        }
+    let explorer = build_explorer(&cli, &label);
+    let raw = if cli.render_once {
+        None
+    } else {
+        RawMode::enter()
+    };
+    match raw {
+        Some(raw) => interactive(&cli, explorer, raw),
+        // `--render-once`, or not a terminal (pipe, CI, redirect): one frame.
+        None => print!("{}", explorer.render_string(cli.width, cli.height)),
     }
 }
 
@@ -81,8 +90,13 @@ impl Cli {
         fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
             match args.next() {
                 Some(v) if !v.starts_with("--") => v,
-                _ => panic!("{flag} needs a value"),
+                _ => fail_usage(format!("{flag} needs a value\n{USAGE}")),
             }
+        }
+        fn cells(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
+            let v = value(args, flag);
+            v.parse()
+                .unwrap_or_else(|_| fail_usage(format!("{flag} needs a cell count, got `{v}`")))
         }
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -90,40 +104,29 @@ impl Cli {
                 "--render-once" => render_once = true,
                 "--window" => {
                     let v = value(&mut args, "--window");
-                    let secs: f64 = v
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--window needs seconds, got `{v}`"));
-                    assert!(
-                        secs.is_finite() && secs > 0.0,
-                        "--window must be positive, got {secs}"
-                    );
-                    window = Some(secs);
+                    window = match v.parse::<f64>() {
+                        Ok(secs) if secs.is_finite() && secs > 0.0 => Some(secs),
+                        _ => fail_usage(format!(
+                            "--window needs a positive duration in seconds, got `{v}`"
+                        )),
+                    };
                 }
                 "--metrics" => metrics = Some(PathBuf::from(value(&mut args, "--metrics"))),
-                "--width" => {
-                    width = value(&mut args, "--width")
-                        .parse()
-                        .expect("--width parses as columns");
+                "--width" => width = cells(&mut args, "--width"),
+                "--height" => height = cells(&mut args, "--height"),
+                other if other.starts_with("--") => {
+                    fail_usage(format!("unknown flag `{other}`\n{USAGE}"))
                 }
-                "--height" => {
-                    height = value(&mut args, "--height")
-                        .parse()
-                        .expect("--height parses as rows");
-                }
-                other if other.starts_with("--") => panic!("unknown flag `{other}`"),
                 other => {
-                    assert!(file.is_none(), "more than one trace file given");
+                    if file.is_some() {
+                        fail_usage(format!("more than one trace file given\n{USAGE}"));
+                    }
                     file = Some(PathBuf::from(other));
                 }
             }
         }
         Cli {
-            file: file.unwrap_or_else(|| {
-                panic!(
-                    "usage: trace_tui <file.tbptrace> [--follow] [--metrics <jsonl>] \
-                     [--window <s>] [--render-once] [--width <cols>] [--height <rows>]"
-                )
-            }),
+            file: file.unwrap_or_else(|| fail_usage(USAGE)),
             follow,
             render_once,
             window,
@@ -157,26 +160,20 @@ fn load_trace(path: &Path) -> (TraceData, bool) {
         Ok(data) => (data, false),
         Err(TraceError::TruncatedTail { .. }) => {
             let mut tailer = TraceTailer::open(path)
-                .unwrap_or_else(|e| panic!("cannot open trace {}: {e}", path.display()));
+                .unwrap_or_else(|e| fail(format!("cannot open trace {}: {e}", path.display())));
             tailer
                 .poll()
-                .unwrap_or_else(|e| panic!("cannot read trace {}: {e}", path.display()));
+                .unwrap_or_else(|e| fail(format!("cannot read trace {}: {e}", path.display())));
             let ended = tailer.ended();
             (tailer.data().clone(), !ended)
         }
-        Err(e) => panic!("cannot read trace {}: {e}", path.display()),
+        Err(e) => fail(format!("cannot read trace {}: {e}", path.display())),
     }
 }
 
-fn render_once(cli: &Cli, label: &str) {
-    let explorer = build_explorer(cli, label);
-    print!("{}", explorer.render_string(cli.width, cli.height));
-}
-
-fn interactive(cli: &Cli, label: &str, raw: RawMode) {
+fn interactive(cli: &Cli, mut explorer: Explorer, raw: RawMode) {
     const FRAME_INTERVAL: Duration = Duration::from_millis(100);
     const REFRESH_INTERVAL: Duration = Duration::from_millis(500);
-    let mut explorer = build_explorer(cli, label);
     let mut tailer = cli
         .follow
         .then(|| TraceTailer::open(&cli.file).ok())

@@ -1,4 +1,4 @@
-//! Exit-code hygiene of the batch and sweep binaries.
+//! Exit-code hygiene of the batch, sweep and trace binaries.
 //!
 //! A binary greeting a typo with a panic backtrace (or worse, exit code 0)
 //! breaks every shell script built on top of it. The convention pinned here:
@@ -140,4 +140,105 @@ fn reproduce_all_reports_a_mistyped_scenario_directory_with_exit_1() {
     let mut cmd = bin(env!("CARGO_BIN_EXE_reproduce_all"));
     cmd.env("TBP_SCENARIOS", "no/such/scenarios");
     assert_clean_failure(&run(cmd), 1, "no/such/scenarios");
+}
+
+/// A scratch file under the temp dir, removed on drop.
+struct TempFile(PathBuf);
+
+impl TempFile {
+    fn new(tag: &str, bytes: &[u8]) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("tbp-cli-{tag}-{}.tbptrace", std::process::id()));
+        std::fs::write(&path, bytes).expect("temp file writes");
+        TempFile(path)
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// A small, valid two-sample trace.
+fn valid_trace() -> Vec<u8> {
+    use tbp_obs::{TraceWriter, TrackDef, TrackKind};
+    let defs = [TrackDef::counter(
+        TrackKind::CoreTemperature,
+        0,
+        0.1,
+        "core0.temp_c",
+    )];
+    let mut writer = TraceWriter::new(Vec::new(), &defs).expect("writer starts");
+    writer.counter(0, 0.0, 40.0);
+    writer.counter(0, 0.1, 41.0);
+    writer.finish().expect("trace finishes");
+    writer.into_inner()
+}
+
+#[test]
+fn trace_explore_reports_unreadable_and_corrupt_traces_with_exit_1() {
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_explore"));
+    cmd.arg("no/such/run.tbptrace");
+    assert_clean_failure(&run(cmd), 1, "cannot read trace no/such/run.tbptrace");
+
+    let garbage = TempFile::new("explore-garbage", b"TBPTRC01garbage");
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_explore"));
+    cmd.arg(&garbage.0);
+    assert_clean_failure(&run(cmd), 1, "cannot read trace");
+}
+
+#[test]
+fn trace_explore_rejects_unknown_export_formats_and_flags_with_exit_2() {
+    let trace = TempFile::new("explore-export", &valid_trace());
+    // `json` was the retired in-memory recorder's shape.
+    for format in ["bogus", "json"] {
+        let mut cmd = bin(env!("CARGO_BIN_EXE_trace_explore"));
+        cmd.arg(&trace.0).args(["--export", format]);
+        assert_clean_failure(&run(cmd), 2, &format!("unknown export format `{format}`"));
+    }
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_explore"));
+    cmd.arg(&trace.0).arg("--frobnicate");
+    assert_clean_failure(&run(cmd), 2, "unknown flag `--frobnicate`");
+
+    let out = run(bin(env!("CARGO_BIN_EXE_trace_explore")));
+    assert_clean_failure(&out, 2, "usage: trace_explore");
+
+    // The surviving exports still work on the same file.
+    for format in ["perfetto", "csv"] {
+        let mut cmd = bin(env!("CARGO_BIN_EXE_trace_explore"));
+        cmd.arg(&trace.0).args(["--export", format]);
+        let out = run(cmd);
+        assert_eq!(out.status.code(), Some(0), "--export {format}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("core0.temp_c"));
+    }
+}
+
+#[test]
+fn trace_tui_follows_the_exit_contract() {
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_tui"));
+    cmd.args(["no/such/run.tbptrace", "--render-once"]);
+    assert_clean_failure(&run(cmd), 1, "cannot read trace no/such/run.tbptrace");
+
+    // A torn tail is a live trace by design; a payload that fails its CRC
+    // is corrupt.
+    let mut bytes = valid_trace();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0xff;
+    let corrupt = TempFile::new("tui-corrupt", &bytes);
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_tui"));
+    cmd.arg(&corrupt.0).arg("--render-once");
+    assert_clean_failure(&run(cmd), 1, "cannot read trace");
+
+    let trace = TempFile::new("tui-flags", &valid_trace());
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_tui"));
+    cmd.arg(&trace.0).args(["--render-once", "--width", "wide"]);
+    assert_clean_failure(&run(cmd), 2, "--width needs a cell count");
+
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_tui"));
+    cmd.arg(&trace.0).arg("--frobnicate");
+    assert_clean_failure(&run(cmd), 2, "unknown flag `--frobnicate`");
+
+    let out = run(bin(env!("CARGO_BIN_EXE_trace_tui")));
+    assert_clean_failure(&out, 2, "usage: trace_tui");
 }

@@ -12,8 +12,10 @@
 //!   ([`tbp-thermal`](tbp_thermal)), the multiprocessor OS and migration
 //!   middleware ([`tbp-os`](tbp_os)) and the streaming pipeline
 //!   ([`tbp-streaming`](tbp_streaming));
-//! * [`metrics`] / [`trace`] — the measurements the paper reports: spatial
-//!   and temporal temperature variance, migrated data, deadline misses;
+//! * [`metrics`] — the measurements the paper reports: spatial and temporal
+//!   temperature variance, migrated data, deadline misses;
+//! * [`trace`] — which track groups a `tbp-obs` trace sink attached to a
+//!   simulation receives (the sink is the one trace store);
 //! * [`scenario`] — the declarative Scenario API: serde-serializable
 //!   [`ScenarioSpec`]s with sweep axes, a
 //!   [`PolicyRegistry`] resolving policy names,

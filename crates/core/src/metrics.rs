@@ -369,8 +369,8 @@ pub struct SimulationSummary {
     pub qos: QosMetrics,
     /// Live reconfigurations applied during the run (0 for static scenarios).
     pub reconfigs: u64,
-    /// Trace samples discarded by recorder decimation passes (0 when the
-    /// recorder never saturated or tracing was off).
+    /// Retired: always 0. Kept so report JSON and CSV keep their bytes
+    /// until the next hash domain bump.
     pub trace_dropped: u64,
 }
 
@@ -378,6 +378,9 @@ pub struct SimulationSummary {
 /// which lack the `reconfigs` field — still deserialize (as 0, which is what
 /// those runs applied) instead of silently missing the cache and
 /// re-simulating. A derived impl would reject the missing required field.
+///
+/// The retired `trace_dropped` field is never read: every entry loads it as
+/// 0, so a warm run prints what a cold run prints.
 impl Deserialize for SimulationSummary {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         fn required<T: Deserialize>(value: &serde::Value, key: &str) -> Result<T, serde::Error> {
@@ -408,13 +411,7 @@ impl Deserialize for SimulationSummary {
                 })?,
                 None => 0,
             },
-            // Absent in reports cached before decimation accounting existed.
-            trace_dropped: match value.get("trace_dropped") {
-                Some(v) => u64::from_value(v).map_err(|e| {
-                    serde::Error::custom(format!("SimulationSummary.trace_dropped: {e}"))
-                })?,
-                None => 0,
-            },
+            trace_dropped: 0,
         })
     }
 }

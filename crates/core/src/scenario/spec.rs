@@ -489,8 +489,6 @@ impl ScenarioSpec {
                 policy_period: schedule.policy_period,
                 warmup: schedule.warmup,
                 metrics_threshold: threshold,
-                trace_interval: schedule.trace_interval,
-                ..SimulationConfig::default()
             })
             .build()
     }
@@ -963,8 +961,9 @@ pub struct ScheduleSpec {
     pub time_step_ms: Option<f64>,
     /// Policy invocation period in milliseconds. Default 10 ms.
     pub policy_period_ms: Option<f64>,
-    /// Trace sampling period in milliseconds; 0 disables tracing.
-    /// Default 100 ms.
+    /// Retired: accepted and ignored, but hashed as written, so cache keys
+    /// stay valid until the next hash domain bump. The `[trace]` table sets
+    /// a trace's sampling interval.
     pub trace_interval_ms: Option<f64>,
 }
 
@@ -996,7 +995,9 @@ pub struct ResolvedSchedule {
     pub time_step: Seconds,
     /// Policy period.
     pub policy_period: Seconds,
-    /// Trace interval (`None` disables tracing).
+    /// Retired: the resolved `trace_interval_ms` (`None` for 0). Nothing
+    /// reads it, but its `Debug` form is part of every scenario hash's
+    /// defaults fingerprint, so it stays until the next hash domain bump.
     pub trace_interval: Option<Seconds>,
 }
 

@@ -35,7 +35,7 @@ use crate::policy::{
 };
 use crate::scenario::registry::PolicyRegistry;
 use crate::scenario::spec::{PolicySpec, SpecDelta};
-use crate::trace::{TraceRecorder, TrackSelection};
+use crate::trace::TrackSelection;
 
 /// Timing and measurement parameters of a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,31 +52,17 @@ pub struct SimulationConfig {
     /// Threshold (°C) used by the metrics collector for the time-above/below
     /// band accounting; usually equal to the policy threshold.
     pub metrics_threshold: f64,
-    /// Interval between two trace samples; `None` disables tracing.
-    pub trace_interval: Option<Seconds>,
-    /// Capacity of the in-memory trace recorder. A full buffer decimates
-    /// (drops every other retained sample and doubles the effective
-    /// interval), so the series always spans the whole run; the default
-    /// holds hours of simulated time at the default 100 ms interval.
-    pub max_trace_samples: usize,
-}
-
-/// Default recorder capacity of [`SimulationConfig::max_trace_samples`].
-fn default_max_trace_samples() -> usize {
-    200_000
 }
 
 impl SimulationConfig {
     /// Default configuration: 5 ms steps, 10 ms policy period, 8 s warm-up,
-    /// 3 °C metric band, 100 ms trace samples.
+    /// 3 °C metric band.
     pub fn paper_default() -> Self {
         SimulationConfig {
             time_step: Seconds::from_millis(5.0),
             policy_period: Seconds::from_millis(10.0),
             warmup: Seconds::new(8.0),
             metrics_threshold: 3.0,
-            trace_interval: Some(Seconds::from_millis(100.0)),
-            max_trace_samples: default_max_trace_samples(),
         }
     }
 
@@ -124,8 +110,6 @@ struct StepScratch {
     block_temps: Vec<Celsius>,
     /// Per-block power snapshot fed to the thermal model.
     power: PowerSnapshot,
-    /// Core frequencies in MHz for trace samples.
-    freqs_mhz: Vec<f64>,
     /// Policy input refreshed in place at every policy invocation.
     policy_input: PolicyInput,
 }
@@ -136,7 +120,6 @@ impl StepScratch {
             os_report: MposStepReport::default(),
             block_temps: Vec::new(),
             power: PowerSnapshot::empty(),
-            freqs_mhz: Vec::new(),
             policy_input: PolicyInput {
                 time: Seconds::ZERO,
                 cores: Vec::new(),
@@ -150,8 +133,7 @@ impl StepScratch {
 
 /// State of an attached observability sink: the boxed sink, the layout of
 /// the track table it was registered with (base track id per selected
-/// group), and its own sampling clock, independent of the in-memory
-/// recorder's.
+/// group), and its sampling clock.
 struct ObsState {
     sink: Box<dyn TraceSink>,
     interval: Seconds,
@@ -182,8 +164,6 @@ pub struct SimMetrics {
     pub migrations: Counter,
     /// Live reconfigurations applied (`sim.reconfigs`).
     pub reconfigs: Counter,
-    /// Trace samples dropped by recorder decimation (`sim.trace_dropped`).
-    pub trace_dropped: Counter,
 }
 
 impl SimMetrics {
@@ -193,7 +173,6 @@ impl SimMetrics {
             steps: registry.counter("sim.steps"),
             migrations: registry.counter("sim.migrations"),
             reconfigs: registry.counter("sim.reconfigs"),
-            trace_dropped: registry.counter("sim.trace_dropped"),
         }
     }
 }
@@ -211,7 +190,6 @@ pub struct Simulation {
     policy: Box<dyn Policy>,
     config: SimulationConfig,
     metrics: MetricsCollector,
-    trace: TraceRecorder,
     obs: Option<ObsState>,
     scratch: StepScratch,
     elapsed: Seconds,
@@ -223,9 +201,6 @@ pub struct Simulation {
     registry: Arc<PolicyRegistry>,
     reconfigs_applied: u64,
     sim_metrics: Option<SimMetrics>,
-    /// Trace-drop total already forwarded to `sim_metrics.trace_dropped`
-    /// (the recorder reports a cumulative count; the counter wants deltas).
-    dropped_reported: u64,
 }
 
 impl Simulation {
@@ -246,10 +221,6 @@ impl Simulation {
     ) -> Self {
         let num_cores = platform.num_cores();
         let metrics = MetricsCollector::new(num_cores, config.metrics_threshold, config.warmup);
-        let trace = match config.trace_interval {
-            Some(interval) => TraceRecorder::new(interval, config.max_trace_samples),
-            None => TraceRecorder::disabled(),
-        };
         Simulation {
             platform,
             thermal,
@@ -259,7 +230,6 @@ impl Simulation {
             policy,
             config,
             metrics,
-            trace,
             obs: None,
             scratch: StepScratch::new(),
             elapsed: Seconds::ZERO,
@@ -269,12 +239,11 @@ impl Simulation {
             registry: PolicyRegistry::global(),
             reconfigs_applied: 0,
             sim_metrics: None,
-            dropped_reported: 0,
         }
     }
 
     /// Attaches shared live-metric handles: every subsequent step bumps the
-    /// step/migration/trace-drop counters and [`apply_delta`](Self::apply_delta)
+    /// step and migration counters and [`apply_delta`](Self::apply_delta)
     /// bumps the reconfiguration counter. Purely additive observability —
     /// simulation behaviour and outputs are unchanged, and the per-step cost
     /// is a handful of relaxed atomic adds (no allocation).
@@ -317,20 +286,15 @@ impl Simulation {
         self.elapsed
     }
 
-    /// The recorded trace.
-    pub fn trace(&self) -> &TraceRecorder {
-        &self.trace
-    }
-
     /// Attaches an observability sink that receives typed per-subsystem
     /// tracks (temperatures, frequencies, migration/miss counters, queue
     /// depths, reconfiguration events) sampled every `interval`.
     ///
-    /// The sink keeps its own sampling clock, independent of the in-memory
-    /// [`TraceRecorder`]; the first sample is emitted on the first step after
-    /// attachment. Sink feeding reuses the step scratch, so a steady-state
-    /// step stays allocation-free even with a file-backed sink attached (the
-    /// counting-allocator test pins this down).
+    /// The sink is the simulation's only trace store; the first sample is
+    /// emitted on the first step after attachment. Feeding it allocates
+    /// nothing, so a steady-state step stays allocation-free even with a
+    /// file-backed sink attached (the counting-allocator test pins this
+    /// down).
     ///
     /// # Errors
     ///
@@ -540,8 +504,8 @@ impl Simulation {
     }
 
     /// Phases 5–8 of [`step`](Self::step): sensors, migration accounting,
-    /// policy, trace, and the elapsed-time advance — everything after the
-    /// thermal integration.
+    /// policy, the attached trace sink, and the elapsed-time advance —
+    /// everything after the thermal integration.
     fn step_post_thermal(&mut self, dt: Seconds) -> Result<(), SimError> {
         // 5. Sensors.
         if self.sensors.tick(dt) {
@@ -579,65 +543,40 @@ impl Simulation {
             }
         }
 
-        // 8. Trace: the in-memory recorder and an attached sink keep
-        // independent sampling clocks but share the scratch refresh.
-        let legacy_due = self.trace.tick(dt);
-        let obs_due = match &mut self.obs {
-            Some(state) => {
-                state.since_last += dt;
-                if state.since_last.as_secs() + 1e-12 >= state.interval.as_secs() {
-                    state.since_last = Seconds::ZERO;
-                    true
-                } else {
-                    false
+        // 8. Trace: feed an attached sink on its own sampling clock.
+        if let Some(state) = &mut self.obs {
+            state.since_last += dt;
+            if state.since_last.as_secs() + 1e-12 >= state.interval.as_secs() {
+                state.since_last = Seconds::ZERO;
+                let t = self.elapsed.as_secs();
+                if let Some(base) = state.temps {
+                    for (i, temp) in self.sensors.readings().iter().enumerate() {
+                        state.sink.counter(base + i as u16, t, temp.as_celsius());
+                    }
                 }
-            }
-            None => false,
-        };
-        if legacy_due || obs_due {
-            self.scratch.freqs_mhz.clear();
-            self.scratch
-                .freqs_mhz
-                .extend(self.platform.cores().iter().map(|c| c.frequency().as_mhz()));
-            let migrations = self.os.migration().totals().migrations;
-            let deadline_misses = self
-                .pipeline
-                .as_ref()
-                .map(|p| p.qos().deadline_misses)
-                .unwrap_or(0);
-            if legacy_due {
-                self.trace.record_borrowed(
-                    self.elapsed,
-                    self.sensors.readings(),
-                    &self.scratch.freqs_mhz,
-                    migrations,
-                    deadline_misses,
-                );
-            }
-            if obs_due {
-                if let Some(state) = &mut self.obs {
-                    let t = self.elapsed.as_secs();
-                    if let Some(base) = state.temps {
-                        for (i, temp) in self.sensors.readings().iter().enumerate() {
-                            state.sink.counter(base + i as u16, t, temp.as_celsius());
-                        }
+                if let Some(base) = state.freqs {
+                    for (i, core) in self.platform.cores().iter().enumerate() {
+                        state
+                            .sink
+                            .counter(base + i as u16, t, core.frequency().as_mhz());
                     }
-                    if let Some(base) = state.freqs {
-                        for (i, mhz) in self.scratch.freqs_mhz.iter().enumerate() {
-                            state.sink.counter(base + i as u16, t, *mhz);
-                        }
-                    }
-                    if let Some(id) = state.migrations {
-                        state.sink.counter(id, t, migrations as f64);
-                    }
-                    if let Some(id) = state.misses {
-                        state.sink.counter(id, t, deadline_misses as f64);
-                    }
-                    if let (Some(base), Some(pipeline)) = (state.queues, self.pipeline.as_ref()) {
-                        for j in 0..state.num_queues {
-                            if let Some(level) = pipeline.edge_queue_level(j) {
-                                state.sink.counter(base + j as u16, t, level as f64);
-                            }
+                }
+                if let Some(id) = state.migrations {
+                    let migrations = self.os.migration().totals().migrations;
+                    state.sink.counter(id, t, migrations as f64);
+                }
+                if let Some(id) = state.misses {
+                    let deadline_misses = self
+                        .pipeline
+                        .as_ref()
+                        .map(|p| p.qos().deadline_misses)
+                        .unwrap_or(0);
+                    state.sink.counter(id, t, deadline_misses as f64);
+                }
+                if let (Some(base), Some(pipeline)) = (state.queues, self.pipeline.as_ref()) {
+                    for j in 0..state.num_queues {
+                        if let Some(level) = pipeline.edge_queue_level(j) {
+                            state.sink.counter(base + j as u16, t, level as f64);
                         }
                     }
                 }
@@ -650,11 +589,6 @@ impl Simulation {
             let migrated = self.scratch.os_report.completed_migrations.len() as u64;
             if migrated > 0 {
                 metrics.migrations.add(migrated);
-            }
-            let dropped = self.trace.dropped();
-            if dropped > self.dropped_reported {
-                metrics.trace_dropped.add(dropped - self.dropped_reported);
-                self.dropped_reported = dropped;
             }
         }
 
@@ -699,8 +633,8 @@ impl Simulation {
     /// 4. **Sensor period** — applied to the sensor bank; readings are never
     ///    discarded.
     ///
-    /// The application is recorded as a reconfiguration event in the trace
-    /// and counted in the summary's `reconfigs` field.
+    /// The application is sent as an event to an attached trace sink's
+    /// `Reconfig` track and counted in the summary's `reconfigs` field.
     ///
     /// # Errors
     ///
@@ -776,13 +710,13 @@ impl Simulation {
         if let Some(metrics) = &self.sim_metrics {
             metrics.reconfigs.inc();
         }
-        let description = delta.describe();
         if let Some(state) = &mut self.obs {
             if let Some(id) = state.reconfig {
-                state.sink.event(id, self.elapsed.as_secs(), &description);
+                state
+                    .sink
+                    .event(id, self.elapsed.as_secs(), &delta.describe());
             }
         }
-        self.trace.record_reconfig(self.elapsed, description);
         Ok(())
     }
 
@@ -810,9 +744,7 @@ impl Simulation {
             })
             .unwrap_or_default();
         self.metrics.set_qos(qos);
-        let mut summary = self.metrics.summary(self.policy.name(), self.elapsed);
-        summary.trace_dropped = self.trace.dropped();
-        summary
+        self.metrics.summary(self.policy.name(), self.elapsed)
     }
 
     fn apply_action(&mut self, action: PolicyAction) -> Result<(), SimError> {
@@ -947,6 +879,31 @@ mod tests {
     use crate::sim::builder::{SimulationBuilder, Workload};
     use tbp_thermal::package::Package;
 
+    /// Attaches a file sink that records only the reconfiguration track.
+    fn attach_reconfig_sink(sim: &mut Simulation, tag: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("tbp-sim-{tag}-{}.tbptrace", std::process::id()));
+        let sink = tbp_obs::FileSink::create(&path).expect("trace file creates");
+        let selection = TrackSelection {
+            reconfigs: true,
+            ..TrackSelection::none()
+        };
+        sim.attach_trace_sink(Box::new(sink), Seconds::from_millis(100.0), selection)
+            .expect("sink attaches");
+        path
+    }
+
+    /// Detaches the sink and returns the reconfiguration labels it received.
+    fn reconfig_labels(sim: &mut Simulation, path: &std::path::Path) -> Vec<String> {
+        sim.detach_trace_sink().expect("sink finalises");
+        let data = tbp_obs::TraceReader::read_file(path).expect("trace decodes");
+        let _ = std::fs::remove_file(path);
+        data.track(TrackKind::Reconfig, 0)
+            .expect("reconfig track present")
+            .labels
+            .clone()
+    }
+
     fn sdr_simulation(policy: Box<dyn Policy>) -> Simulation {
         SimulationBuilder::new()
             .with_package(Package::high_performance())
@@ -1044,7 +1001,6 @@ mod tests {
         assert_eq!(summary.qos.deadline_misses, 0);
         assert_eq!(summary.migration.migrations, 0);
         assert!(summary.mean_spatial_std_dev() > 0.5);
-        assert!(!sim.trace().samples().is_empty());
         assert!(format!("{sim:?}").contains("dvfs-only"));
     }
 
@@ -1055,6 +1011,7 @@ mod tests {
             crate::policy::ThermalBalancingConfig::paper_default(),
         )));
         sim.run_for(Seconds::new(1.5)).unwrap();
+        let trace = attach_reconfig_sink(&mut sim, "delta");
         let elapsed_before = sim.elapsed();
         let temps_before = sim.core_temperatures();
 
@@ -1084,21 +1041,19 @@ mod tests {
         assert_eq!(sim.reconfigs_applied(), 3);
         let summary = sim.summary();
         assert_eq!(summary.reconfigs, 3);
-        assert_eq!(sim.trace().reconfig_events().len(), 3);
-        assert_eq!(
-            sim.trace().reconfig_events()[1].description,
-            "policy=stop-and-go"
-        );
+        let labels = reconfig_labels(&mut sim, &trace);
+        assert_eq!(labels.len(), 3);
+        assert_eq!(labels[1], "policy=stop-and-go");
     }
 
     #[test]
     fn invalid_deltas_are_rejected_without_side_effects() {
         let mut sim = sdr_simulation(Box::new(DvfsOnlyPolicy::new()));
         sim.run_for(Seconds::new(0.2)).unwrap();
+        let trace = attach_reconfig_sink(&mut sim, "refused");
         let assert_unchanged = |sim: &Simulation| {
             assert_eq!(sim.policy_name(), "dvfs-only");
             assert_eq!(sim.reconfigs_applied(), 0);
-            assert!(sim.trace().reconfig_events().is_empty());
         };
         // Empty delta.
         assert!(sim.apply_delta(&SpecDelta::new()).is_err());
@@ -1136,6 +1091,9 @@ mod tests {
             .apply_delta(&SpecDelta::new().with_sensor_period(Seconds::ZERO))
             .is_err());
         assert_unchanged(&sim);
+        // A refused delta reaches neither the summary nor the trace.
+        assert_eq!(sim.summary().reconfigs, 0);
+        assert!(reconfig_labels(&mut sim, &trace).is_empty());
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! allocations. This is the property the PR 4 hot-loop rework establishes:
 //! all per-step buffers live in reusable workspaces/scratch structs.
 //!
-//! The in-memory trace recorder is disabled in the measured configuration —
-//! a recorder *stores* samples, and retaining data inherently allocates. A
-//! file-backed observability sink, by contrast, must uphold the guarantee
-//! (its chunk buffer is preallocated and flushed in place), so a fourth case
-//! measures the loop with one attached — and a fifth with live metrics
-//! counters attached (registration allocates, relaxed atomic updates never
-//! do). Everything else runs exactly as in a real experiment.
+//! Every case runs `SimulationConfig::paper_default()` unmodified, the
+//! configuration every batch run uses. A file-backed observability sink
+//! must uphold the guarantee too (its chunk buffer is preallocated and
+//! flushed in place), so a fourth case measures the loop with one attached
+//! — and a fifth with live metrics counters attached (registration
+//! allocates, relaxed atomic updates never do).
 //!
 //! The counter is process-global, so this file contains a single `#[test]`
 //! (integration tests compile to their own binary; the libtest harness would
@@ -95,12 +94,7 @@ fn build(package: Package, solver: SolverKind, workload: Workload) -> Simulation
         .with_package(package)
         .with_solver(solver)
         .with_workload(workload)
-        .with_config(SimulationConfig {
-            // Tracing retains data and therefore allocates by design; the
-            // step loop itself must not.
-            trace_interval: None,
-            ..SimulationConfig::paper_default()
-        })
+        .with_config(SimulationConfig::paper_default())
         .build()
         .expect("simulation builds")
 }

@@ -518,9 +518,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-mutation fuzzing of the JSON readers of untrusted bytes: a cache entry
-// or a partial report from disk parses or fails with a typed error. It never
-// panics, and a cache entry is a hit or a miss.
+// Byte-mutation fuzzing of the readers of untrusted bytes: a cache entry or a
+// partial report from disk, and a scenario TOML file, parse or fail with a
+// typed error. They never panic, and a cache entry is a hit or a miss.
 // ---------------------------------------------------------------------------
 
 /// The golden cache entries of the three workload families.
@@ -530,15 +530,19 @@ const GOLDEN_ENTRIES: [&str; 3] = [
     include_str!("../../bench/tests/golden/video-analytics.entry.json"),
 ];
 
-/// Applies each edit to `bytes`: a flipped bit, an inserted byte (a JSON
-/// delimiter or escape half the time), a deleted byte or a truncation, at a
+/// Bytes that mean something to a JSON parser.
+const JSON_SIGNIFICANT: &[u8] = b"\"\\{}[],:-.eu0";
+/// Bytes that mean something to a TOML parser.
+const TOML_SIGNIFICANT: &[u8] = b"\"'\\[]{}=,.#\n-+e0";
+
+/// Applies each edit to `bytes`: a flipped bit, an inserted byte (one of
+/// `significant` half the time), a deleted byte or a truncation, at a
 /// position drawn from the edit itself.
-fn mutate(bytes: &mut Vec<u8>, edits: &[u64]) {
-    const SIGNIFICANT: &[u8] = b"\"\\{}[],:-.eu0";
+fn mutate(bytes: &mut Vec<u8>, edits: &[u64], significant: &[u8]) {
     for &edit in edits {
         let at = (edit >> 16) as usize % (bytes.len() + 1);
         let byte = if edit & 0x80 == 0 {
-            SIGNIFICANT[(edit >> 8) as usize % SIGNIFICANT.len()]
+            significant[(edit >> 8) as usize % significant.len()]
         } else {
             (edit >> 8) as u8
         };
@@ -578,7 +582,7 @@ proptest! {
                 partial.to_json().into_bytes()
             }
         };
-        mutate(&mut bytes, &edits);
+        mutate(&mut bytes, &edits, JSON_SIGNIFICANT);
 
         // Ok or Err are both fine; a panic fails the test.
         let text = String::from_utf8_lossy(&bytes);
@@ -594,5 +598,48 @@ proptest! {
         if cache.load(&key).is_none() {
             prop_assert!(dir.0.join(format!("{key}.corrupt")).exists());
         }
+    }
+}
+
+/// Every shipped scenario file, in name order.
+fn shipped_scenario_files() -> Vec<(String, Vec<u8>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("scenarios/ directory reads")
+        .map(|entry| entry.expect("directory entry reads").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .map(|path| {
+            let name = path.display().to_string();
+            (name, std::fs::read(&path).expect("scenario file reads"))
+        })
+        .collect();
+    files.sort();
+    assert!(
+        !files.is_empty(),
+        "no scenario files under {}",
+        dir.display()
+    );
+    files
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mutated_scenario_toml_parses_or_fails_typed(
+        which in any::<u64>(),
+        edits in proptest::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let files = shipped_scenario_files();
+        let (name, original) = &files[(which % files.len() as u64) as usize];
+        let mut bytes = original.clone();
+        mutate(&mut bytes, &edits, TOML_SIGNIFICANT);
+        // The loader takes text; invalid UTF-8 is the file reader's error.
+        let text = String::from_utf8_lossy(&bytes);
+        let parsed = ScenarioSpec::from_toml_str(&text);
+        prop_assert!(
+            matches!(parsed, Ok(_) | Err(SimError::Spec(_))),
+            "{name}: untyped error {parsed:?}"
+        );
     }
 }

@@ -1,13 +1,14 @@
 //! Integration tests of the observability subsystem: file-backed binary
 //! traces from full simulations (determinism, losslessness, track
 //! selection), reconfiguration events flowing to the sink, the `[trace]`
-//! spec table (parse + hash invariance), runner trace emission, and
-//! cache round-trips of summaries carrying the new accounting fields.
+//! spec table (parse + hash invariance), runner trace emission, cache
+//! round-trips of summaries (the retired `trace_dropped` field loads as 0),
+//! and byte-mutation fuzzing of chunk payloads past the CRC.
 
 use std::path::{Path, PathBuf};
 
 use tbp_core::scenario::{
-    FsCache, PhaseSpec, Runner, ScenarioHash, ScenarioSpec, SweepSpec, TraceSpec,
+    FsCache, PhaseSpec, Runner, ScenarioHash, ScenarioSpec, SpecDelta, SweepSpec, TraceSpec,
 };
 use tbp_core::sim::Simulation;
 use tbp_core::trace::TrackSelection;
@@ -246,12 +247,12 @@ fn runner_emits_one_trace_per_simulated_run() {
         assert!(data.total_records() > 0);
         assert_eq!(data.tracks_of(TrackKind::CoreTemperature).count(), 3);
     }
-    // The CSV carries the decimation accounting column.
+    // The CSV keeps the retired `trace_dropped` column, always 0.
     let csv = batch.to_csv();
     let header = csv.lines().next().unwrap();
     assert!(header.ends_with(",measured_s,trace_dropped"), "{header}");
     for row in csv.lines().skip(1) {
-        assert!(row.ends_with(",0"), "no run saturated its recorder: {row}");
+        assert!(row.ends_with(",0"), "retired column must read 0: {row}");
     }
 }
 
@@ -270,6 +271,33 @@ fn traced_and_untraced_runs_report_identically() {
         .expect("untraced run completes");
     assert_eq!(with_trace.to_json(), without.to_json());
     assert_eq!(with_trace.to_csv(), without.to_csv());
+    // The retired `[schedule] trace_interval_ms` is hashed but ignored:
+    // absent, 0 and 50 ms print the same report.
+    for interval_ms in [0.0, 50.0] {
+        let mut retimed = spec.clone();
+        retimed
+            .schedule
+            .as_mut()
+            .expect("quick sets a schedule")
+            .trace_interval_ms = Some(interval_ms);
+        assert_ne!(
+            ScenarioHash::of(&retimed).unwrap(),
+            ScenarioHash::of(&spec).unwrap()
+        );
+        let report = Runner::sequential()
+            .run_spec(&retimed)
+            .expect("retimed run completes");
+        assert_eq!(
+            report.to_csv(),
+            without.to_csv(),
+            "trace_interval_ms = {interval_ms}"
+        );
+        assert_eq!(
+            report.to_json(),
+            without.to_json(),
+            "trace_interval_ms = {interval_ms}"
+        );
+    }
     // The phased run's delta shows up in the trace as an event.
     let data =
         TraceReader::read_file(dir.path().join("traces/equiv.tbptrace")).expect("trace decodes");
@@ -279,9 +307,9 @@ fn traced_and_untraced_runs_report_identically() {
 
 #[test]
 fn summaries_round_trip_through_fscache_with_tracing_disabled() {
-    // Regression for the disabled-recorder serde hazard: a run whose
-    // schedule disables tracing (`trace_interval_ms = 0`) produces a report
-    // that must store into and load from the strict-JSON FsCache unchanged.
+    // A run whose schedule sets the retired `trace_interval_ms = 0` produces
+    // a report that must store into and load from the strict-JSON FsCache
+    // unchanged.
     let dir = TempDir::new("fscache");
     let spec: ScenarioSpec = toml::from_str(
         r#"
@@ -311,83 +339,135 @@ fn summaries_round_trip_through_fscache_with_tracing_disabled() {
     assert_eq!(warm.reports[0].summary().unwrap().trace_dropped, 0);
 }
 
-/// Regression (PR 7 satellite): driving the in-memory recorder through its
-/// exact capacity boundary inside a full simulation fires interval-doubling
-/// decimation exactly once, and the summary's `trace_dropped` accounts for
-/// every sample a reader of `Simulation::trace` no longer sees — while a
-/// streaming file sink (which never decimates) keeps the full series.
+/// A cache entry written while the retired `trace_dropped` field still
+/// counted something loads as 0: a warm run prints what a cold run prints.
 #[test]
-fn decimation_boundary_in_full_simulation_accounts_for_dropped_samples() {
-    use tbp_core::sim::builder::Workload;
-    use tbp_core::sim::{SimulationBuilder, SimulationConfig};
-
-    let cap = 40usize;
-    let dir = TempDir::new("decimation-boundary");
-    let path = dir.path().join("boundary.tbptrace");
-    let mut sim = SimulationBuilder::new()
-        .with_package(tbp_thermal::package::Package::mobile_embedded())
-        .with_workload(Workload::sdr())
-        .with_config(SimulationConfig {
-            trace_interval: Some(Seconds::from_millis(100.0)),
-            max_trace_samples: cap,
-            ..SimulationConfig::paper_default()
-        })
-        .build()
-        .expect("simulation builds");
-    sim.attach_trace_sink(
-        Box::new(FileSink::create(&path).expect("sink file creates")),
-        Seconds::from_millis(100.0),
-        TrackSelection::all(),
+fn a_cached_trace_dropped_count_loads_and_renders_as_zero() {
+    let dir = TempDir::new("retired-dropped");
+    let spec = quick("retired");
+    let cold = Runner::sequential()
+        .with_cache(FsCache::open(dir.path()).expect("cache opens"))
+        .run_spec(&spec)
+        .expect("cold run completes");
+    let entry = dir.path().join(format!(
+        "{}.json",
+        ScenarioHash::of(&spec).unwrap().to_hex()
+    ));
+    let text = std::fs::read_to_string(&entry).expect("entry written");
+    assert_eq!(text.matches("\"trace_dropped\": 0").count(), 1, "{text}");
+    std::fs::write(
+        &entry,
+        text.replace("\"trace_dropped\": 0", "\"trace_dropped\": 7"),
     )
-    .expect("sink attaches");
+    .expect("entry rewrites");
 
-    // 6 s at a 100 ms interval offers the 41st in-memory sample (the
-    // capacity-crossing one) at ~4 s, then a handful more on the doubled
-    // interval — long enough to cross the boundary once, far from twice.
-    sim.run_for(Seconds::new(6.0)).expect("run completes");
-    let summary = sim.summary();
-
-    let rec = sim.trace();
-    assert_eq!(rec.decimations(), 1, "boundary must decimate exactly once");
-    assert!(
-        (rec.interval().as_secs() - 0.2).abs() < 1e-12,
-        "one decimation doubles the 100 ms interval"
-    );
-    // One keep-every-other pass over a full buffer drops exactly half.
-    assert_eq!(rec.dropped(), (cap / 2) as u64);
+    let warm_runner =
+        Runner::sequential().with_cache(FsCache::open(dir.path()).expect("cache reopens"));
+    let warm = warm_runner.run_spec(&spec).expect("warm run completes");
     assert_eq!(
-        summary.trace_dropped,
-        rec.dropped(),
-        "summary must report the recorder's drop count"
+        warm_runner.stats().cache_hits,
+        1,
+        "the edited entry must hit"
     );
-    // The retained series still spans the whole run on a uniform grid.
-    let times: Vec<f64> = rec.samples().iter().map(|s| s.time.as_secs()).collect();
-    assert!(times.len() < cap);
-    assert!(times.last().expect("samples retained") > &5.5);
-    let d0 = times[1] - times[0];
-    for w in times.windows(2) {
-        assert!((w[1] - w[0] - d0).abs() < 1e-9, "grid must stay uniform");
-    }
-    let (retained, dropped) = (rec.samples().len() as u64, rec.dropped());
+    assert_eq!(warm.reports[0].summary().unwrap().trace_dropped, 0);
+    assert_eq!(warm.to_csv(), cold.to_csv());
+    assert_eq!(warm.to_json(), cold.to_json());
+}
 
-    // The streaming sink never decimates: the file holds every offered
-    // sampling tick, so the reader-side count exceeds the in-memory one and
-    // matches retained + dropped up to the two clocks' one-tick phase
-    // offset (the recorder stores its first sample at the first step, the
-    // sink fires a full interval after attach) plus the post-decimation
-    // offers the in-memory recorder skipped.
-    sim.detach_trace_sink().expect("sink finalises");
-    let data = TraceReader::read_file(&path).expect("trace decodes");
-    let file_samples = data
-        .track(TrackKind::CoreTemperature, 0)
-        .map(|t| t.times.len() as u64)
-        .expect("temperature track present");
-    assert!(
-        file_samples > retained,
-        "file keeps more than the decimated in-memory series"
-    );
-    assert!(
-        file_samples >= retained + dropped,
-        "reader-side count covers every sample the recorder ever stored"
-    );
+// ---------------------------------------------------------------------------
+// Byte-mutation fuzzing past the CRC: each case edits the payload of one
+// chunk of a simulator-written trace and re-frames it with a fresh length and
+// CRC, so the header, sample and end-chunk decoders see hostile payloads.
+// ---------------------------------------------------------------------------
+
+use proptest::prelude::*;
+
+/// A simulator-written trace (every track group plus one reconfiguration
+/// event), written once per test binary.
+fn simulator_trace() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| {
+        let dir = TempDir::new("fuzz-source");
+        let path = dir.path().join("source.tbptrace");
+        let mut sim = build(&quick("fuzz-source"));
+        attach_file(&mut sim, &path, 100.0, TrackSelection::all());
+        sim.run_for(Seconds::new(0.5)).expect("first half runs");
+        sim.apply_delta(&SpecDelta::new().with_threshold(1.5))
+            .expect("delta applies");
+        sim.run_for(Seconds::new(0.5)).expect("second half runs");
+        sim.detach_trace_sink().expect("sink finalises");
+        std::fs::read(&path).expect("trace reads")
+    })
+}
+
+/// The `(start, end)` byte ranges of every chunk frame after the magic.
+fn chunk_frames(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut frames = Vec::new();
+    let mut pos = tbp_obs::MAGIC.len();
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        frames.push((pos, pos + 8 + len));
+        pos += 8 + len;
+    }
+    frames
+}
+
+/// Applies each edit to `payload`: a flipped bit, an inserted byte (a chunk
+/// or record tag half the time), a deleted byte or a truncation.
+fn mutate_payload(payload: &mut Vec<u8>, edits: &[u64]) {
+    const SIGNIFICANT: &[u8] = &[0x00, 0x01, 0x02, 0xff];
+    for &edit in edits {
+        let at = (edit >> 16) as usize % (payload.len() + 1);
+        let byte = if edit & 0x80 == 0 {
+            SIGNIFICANT[(edit >> 8) as usize % SIGNIFICANT.len()]
+        } else {
+            (edit >> 8) as u8
+        };
+        match edit % 4 {
+            0 if at < payload.len() => payload[at] ^= 1 << (byte % 8),
+            1 => payload.insert(at, byte),
+            2 if at < payload.len() => {
+                payload.remove(at);
+            }
+            3 => payload.truncate(at),
+            _ => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mutated_chunk_payloads_decode_or_fail_typed(
+        which in any::<u64>(),
+        edits in proptest::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let source = simulator_trace();
+        let frames = chunk_frames(source);
+        prop_assert!(frames.len() >= 3, "header, samples and end chunks");
+        let (start, end) = frames[(which % frames.len() as u64) as usize];
+        let mut payload = source[start + 8..end].to_vec();
+        mutate_payload(&mut payload, &edits);
+        let mut bytes = source[..start].to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&tbp_obs::crc32::crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&source[end..]);
+
+        // `Ok` or a typed `TraceError`; a panic fails the test.
+        let read = TraceReader::read(&bytes);
+
+        // The live tailer shares the chunk decoder: one poll over the whole
+        // file must agree with the one-shot read.
+        let dir = TempDir::new("fuzz-tail");
+        let path = dir.path().join("mutated.tbptrace");
+        std::fs::write(&path, &bytes).expect("mutated trace writes");
+        let mut tailer = tbp_obs::TraceTailer::open(&path).expect("tailer opens");
+        let polled = tailer.poll();
+        if let Ok(data) = &read {
+            prop_assert!(matches!(polled, Ok(progress) if progress.ended));
+            prop_assert_eq!(tailer.data(), data);
+        }
+    }
 }

@@ -57,6 +57,7 @@ pub fn scan(root: &Path, config: &LintConfig) -> Result<Scan, String> {
             }
         }
     }
+    rules::no_alloc::check_paths(&rel_files, config, &mut diags);
     rules::domain_drift::check(root, config, &mut diags);
     diags.sort();
     Ok(Scan {

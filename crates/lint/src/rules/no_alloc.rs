@@ -11,6 +11,11 @@
 //! Regions are declared per file as a function-name list (empty list = the
 //! whole file). The rule finds `fn <name>` and lints to the matching close
 //! brace of the body.
+//!
+//! A stale declaration is a finding too: a declared function that no `fn`
+//! in its file defines, or a declared path the scan never visits. Without
+//! that, deleting or renaming a hot function would drop it from the lint
+//! without a word.
 
 use crate::config::LintConfig;
 use crate::diag::Diagnostic;
@@ -49,8 +54,40 @@ pub fn check(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) 
         return;
     }
     for name in &hot.functions {
-        for (body_start, body_end) in function_bodies(file, name) {
+        let bodies = function_bodies(file, name);
+        if bodies.is_empty() {
+            out.push(Diagnostic::new(
+                RULE,
+                &file.rel_path,
+                1,
+                1,
+                format!(
+                    "hot function `{name}` declared in lint.toml is not defined in this \
+                     file; update or remove the stale entry"
+                ),
+                format!("stale hot function `{name}`"),
+            ));
+        }
+        for (body_start, body_end) in bodies {
             scan_region(file, body_start, body_end, name, out);
+        }
+    }
+}
+
+/// Reports every declared hot path that is not among the scanned `files`
+/// (a deleted or moved file, or one outside the configured includes).
+pub fn check_paths(files: &[String], config: &LintConfig, out: &mut Vec<Diagnostic>) {
+    for hot in &config.hot_paths {
+        if !files.contains(&hot.path) {
+            out.push(Diagnostic::new(
+                RULE,
+                &hot.path,
+                1,
+                1,
+                "hot path declared in lint.toml was never scanned (missing, moved or \
+                 excluded); update or remove the stale entry",
+                "stale hot path",
+            ));
         }
     }
 }
@@ -216,6 +253,29 @@ fn hot(x: u32) {
 fn after() { let v = vec![1]; }
 "#;
         assert!(run(src, &["hot"]).is_empty());
+    }
+
+    #[test]
+    fn a_declared_function_missing_from_its_file_is_reported() {
+        let src = "fn hot() { let x = 1; }\n";
+        assert!(run(src, &["hot"]).is_empty());
+        let hits = run(src, &["hot", "renamed_away"]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].file, "hot.rs");
+        assert!(hits[0].message.contains("`renamed_away`"), "{hits:?}");
+        assert!(hits[0].message.contains("stale"), "{hits:?}");
+    }
+
+    #[test]
+    fn a_declared_path_the_scan_never_visits_is_reported() {
+        let cfg = config(&["hot"]);
+        let mut out = Vec::new();
+        check_paths(&["hot.rs".to_string()], &cfg, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        check_paths(&["other.rs".to_string()], &cfg, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].file, "hot.rs");
+        assert_eq!(out[0].rule, RULE);
     }
 
     #[test]

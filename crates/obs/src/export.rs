@@ -1,19 +1,16 @@
 //! Exporters from decoded traces to interchange formats.
 //!
-//! Three targets:
+//! Two targets:
 //!
 //! - [`to_perfetto_json`]: Chrome-trace JSON (the format `ui.perfetto.dev`
 //!   and `chrome://tracing` open directly) — one counter track per series
 //!   plus instant events for migrations and reconfigurations;
-//! - [`to_legacy_json`]: the shape of the pre-obs in-memory recorder
-//!   (`samples` array of per-tick structs plus `reconfigs`), for tooling
-//!   written against that layout;
 //! - [`to_csv`]: long-format CSV (`track,kind,index,time_s,value,label`),
 //!   one row per record, trivially loadable into dataframes.
 
 use std::fmt::Write as _;
 
-use crate::track::{TraceData, Track, TrackKind};
+use crate::track::{TraceData, TrackKind};
 
 /// Renders a Chrome-trace ("trace event format") JSON document.
 ///
@@ -69,62 +66,6 @@ pub fn to_perfetto_json(data: &TraceData) -> String {
     )
 }
 
-/// Renders the legacy in-memory recorder shape: an object with `samples`
-/// (one struct per sampling tick, core series re-assembled positionally)
-/// and `reconfigs`.
-///
-/// The base time grid is the densest core-temperature track (all counter
-/// tracks written by the simulator share tick times, so this loses
-/// nothing); counters sampled more coarsely contribute their
-/// latest-at-or-before value.
-pub fn to_legacy_json(data: &TraceData) -> String {
-    let temps: Vec<&Track> = data.tracks_of(TrackKind::CoreTemperature).collect();
-    let freqs: Vec<&Track> = data.tracks_of(TrackKind::CoreFrequency).collect();
-    let migrations = data.track(TrackKind::Migrations, 0);
-    let misses = data.track(TrackKind::DeadlineMisses, 0);
-    let grid: &[f64] = temps
-        .iter()
-        .chain(freqs.iter())
-        .max_by_key(|t| t.len())
-        .map(|t| t.times.as_slice())
-        .unwrap_or(&[]);
-    let mut out = String::from("{\"samples\":[");
-    for (i, &time) in grid.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"time\":{}", json_f64(time));
-        out.push_str(",\"core_temperatures\":[");
-        push_series_at(&mut out, &temps, time);
-        out.push_str("],\"core_frequencies_mhz\":[");
-        push_series_at(&mut out, &freqs, time);
-        let _ = write!(
-            out,
-            "],\"migrations\":{},\"deadline_misses\":{}}}",
-            counter_at(migrations, time),
-            counter_at(misses, time)
-        );
-    }
-    out.push_str("],\"reconfigs\":[");
-    let mut first = true;
-    for track in data.tracks_of(TrackKind::Reconfig) {
-        for (time, label) in track.times.iter().zip(&track.labels) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"time\":{},\"description\":\"{}\"}}",
-                json_f64(*time),
-                escape_json(label)
-            );
-        }
-    }
-    out.push_str("]}\n");
-    out
-}
-
 /// Renders long-format CSV: one row per record, events carrying their label
 /// in the last column.
 pub fn to_csv(data: &TraceData) -> String {
@@ -149,23 +90,6 @@ pub fn to_csv(data: &TraceData) -> String {
         }
     }
     out
-}
-
-fn push_series_at(out: &mut String, tracks: &[&Track], time: f64) {
-    for (i, track) in tracks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let value = track.value_at_or_before(time).unwrap_or(0.0);
-        let _ = write!(out, "{}", json_f64(value));
-    }
-}
-
-fn counter_at(track: Option<&Track>, time: f64) -> u64 {
-    track
-        .and_then(|t| t.value_at_or_before(time))
-        .map(|v| v.max(0.0) as u64)
-        .unwrap_or(0)
 }
 
 fn micros(time_s: f64) -> String {
@@ -211,7 +135,7 @@ fn csv_field(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::track::TrackDef;
+    use crate::track::{Track, TrackDef};
 
     fn demo() -> TraceData {
         let mut t0 = Track::new(TrackDef::counter(
@@ -260,23 +184,6 @@ mod tests {
             json.matches('}').count(),
             "{json}"
         );
-    }
-
-    #[test]
-    fn legacy_export_reassembles_per_tick_samples() {
-        let json = to_legacy_json(&demo());
-        assert!(json.starts_with("{\"samples\":["));
-        assert!(json.contains(
-            r#"{"time":0.1,"core_temperatures":[41],"core_frequencies_mhz":[533],"migrations":0,"deadline_misses":0}"#
-        ));
-        assert!(json.contains(r#""migrations":2"#));
-        assert!(json.contains(r#""description":"threshold=2 \"hot\""#));
-    }
-
-    #[test]
-    fn legacy_export_of_empty_trace_is_valid() {
-        let json = to_legacy_json(&TraceData::default());
-        assert_eq!(json, "{\"samples\":[],\"reconfigs\":[]}\n");
     }
 
     #[test]

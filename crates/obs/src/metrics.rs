@@ -823,12 +823,12 @@ mod tests {
     fn prometheus_exposition_is_well_formed() {
         let registry = MetricsRegistry::new();
         registry.counter("sim.steps").add(4000);
-        registry.gauge("sim.trace_dropped").set(0.0);
+        registry.gauge("runner.scenarios_total").set(0.0);
         let h = registry.histogram("runner.lane_occupancy", &[1.0, 2.0]);
         h.observe(2.0);
         let text = registry.snapshot(0.0).to_prometheus();
         assert!(text.contains("# TYPE tbp_sim_steps counter\ntbp_sim_steps 4000\n"));
-        assert!(text.contains("# TYPE tbp_sim_trace_dropped gauge"));
+        assert!(text.contains("# TYPE tbp_runner_scenarios_total gauge"));
         assert!(text.contains("tbp_runner_lane_occupancy_bucket{le=\"2\"} 1"));
         assert!(text.contains("tbp_runner_lane_occupancy_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("tbp_runner_lane_occupancy_count 1"));
