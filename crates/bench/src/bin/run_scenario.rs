@@ -12,16 +12,16 @@
 //!     scenarios/90_dag_sweep.toml --cache-dir .tbp-cache --csv
 //! ```
 //!
-//! Accepts the shared batch flags (`--json`/`--csv`, `--cache-dir`,
-//! `--shard i/k`, `--trace-dir <dir>`, `--lanes <n>`, `--merge`, plus the
-//! observability trio `--metrics <file>`, `--metrics-prom <file>` and
-//! `--progress`). With
-//! `--lanes <n>` compatible simulation misses step in lockstep through one
-//! SIMD lane batch — byte-identical output, faster. With `--trace-dir` every
-//! *simulated* run additionally writes a binary trace (see
-//! `docs/OBSERVABILITY.md`); cache hits skip simulation and emit none.
-//! Merge mode still needs the scenario files —
-//! they define the batch the partials are checked against:
+//! Accepts every batch flag of `tbp_bench` (`--json`/`--csv`,
+//! `--cache-dir`, `--shard i/k`, `--trace-dir <dir>`, `--lanes <n>`,
+//! `--merge`, plus the observability trio `--metrics <file>`,
+//! `--metrics-prom <file>` and `--progress`); every other argument is a
+//! scenario file. With `--lanes <n>` compatible simulation misses step in
+//! lockstep through one SIMD lane batch — byte-identical output, faster.
+//! With `--trace-dir` every *simulated* run additionally writes a binary
+//! trace (see `docs/OBSERVABILITY.md`); cache hits skip simulation and emit
+//! none. Merge mode still needs the scenario files — they define the batch
+//! the partials are checked against:
 //! `run_scenario <scenario.toml>... --merge p1.json p2.json`.
 //! `TBP_DURATION` overrides the measured duration of every simulated
 //! scenario *when set*; unlike `reproduce_all`, an unset variable leaves the
@@ -29,48 +29,18 @@
 //! it with every cache and observability flag, cold then warm, and checks
 //! its CSV against the sequential reference.
 
-use std::path::PathBuf;
+use tbp_bench::{Args, BatchCli, BATCH_USAGE};
 
 fn main() {
-    tbp_bench::exit_cleanly_on_panic();
-    let paths = scenario_paths();
-    if paths.is_empty() {
-        tbp_bench::fail_usage(
-            "usage: run_scenario <scenario.toml>... [--cache-dir <dir>] [--shard i/k] \
-             [--trace-dir <dir>] [--lanes <n>] [--merge <partial.json>...] [--json|--csv]\n\
-             note: --merge also needs the scenario files — they define the batch \
-             the partial reports are validated against",
-        );
-    }
+    let args = Args::from_env(format!(
+        "usage: run_scenario <scenario.toml>... {BATCH_USAGE}\n\
+         note: --merge also needs the scenario files — they define the batch \
+         the partial reports are validated against"
+    ));
+    let (cli, paths) = BatchCli::parse(args, true).unwrap_or_else(|e| tbp_bench::fail_usage(e));
     let specs = tbp_bench::load_scenarios(&paths);
-    let Some(batch) = tbp_bench::run_cli("scenarios", &specs) else {
+    let Some(batch) = tbp_bench::run_cli(&cli, "scenarios", &specs) else {
         return; // shard mode: the partial report went to stdout
     };
-    tbp_bench::print_batch(&specs, &batch);
-}
-
-/// The positional scenario-file arguments: everything that is not one of the
-/// shared batch/format flags (whose values are skipped).
-fn scenario_paths() -> Vec<PathBuf> {
-    let mut paths = Vec::new();
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--cache-dir" | "--shard" | "--trace-dir" | "--lanes" | "--metrics"
-            | "--metrics-prom" => {
-                args.next();
-            }
-            "--merge" => {
-                while args.peek().is_some_and(|a| !a.starts_with("--")) {
-                    args.next();
-                }
-            }
-            "--json" | "--csv" | "--progress" => {}
-            other if other.starts_with("--") => {
-                tbp_bench::fail_usage(format!("unknown flag `{other}`"))
-            }
-            other => paths.push(PathBuf::from(other)),
-        }
-    }
-    paths
+    tbp_bench::print_batch(cli.format, &specs, &batch);
 }

@@ -26,34 +26,25 @@
 //!   instruments (leases granted/expired/reclaimed, results, queue depth,
 //!   connected workers) as a JSONL heartbeat / one-shot Prometheus dump.
 //!
-//! `TBP_DURATION` applies the same duration override as `run_scenario` —
-//! workers must run with the identical environment, or the handshake's batch
-//! digest check will refuse them.
+//! The coordinator executes nothing, so the other batch flags of
+//! `run_scenario` (`--cache-dir`, `--shard`, `--lanes`, `--trace-dir`,
+//! `--merge`, `--progress`) are unknown flags here. `TBP_DURATION` applies
+//! the same duration override as `run_scenario` — workers must run with the
+//! identical environment, or the handshake's batch digest check will refuse
+//! them. A bad invocation exits 2 and a runtime failure (unloadable file,
+//! unbindable address, failed sweep) exits 1, each with one `error:` line.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use tbp_bench::{fail, fail_usage, MetricsOutputs};
+use tbp_bench::{fail, fail_usage, Args, BatchCli, MetricsOutputs};
 use tbp_sweepd::{CoordConfig, CoordMetrics, Coordinator, FaultPlan};
 
 fn main() {
-    tbp_bench::exit_cleanly_on_panic();
-    let cli = Cli::parse(std::env::args().skip(1));
+    let cli = Cli::parse(&mut Args::from_env(USAGE)).unwrap_or_else(|e| fail_usage(e));
     let specs = tbp_bench::load_scenarios(&cli.paths);
-    let config = CoordConfig {
-        lease_timeout: cli.lease_timeout,
-        completion_timeout: cli.timeout,
-        fault: cli.fault,
-        ..CoordConfig::default()
-    };
-    let obs = match (&cli.metrics, &cli.metrics_prom) {
-        (None, None) => None,
-        (metrics, prom) => Some(
-            MetricsOutputs::start(metrics.as_deref(), prom.as_deref())
-                .unwrap_or_else(|e| fail(format!("cannot create metrics file: {e}"))),
-        ),
-    };
-    let mut coordinator = Coordinator::bind(&cli.listen, &specs, config)
+    let obs = MetricsOutputs::start(&cli.batch);
+    let mut coordinator = Coordinator::bind(&cli.listen, &specs, cli.config)
         .unwrap_or_else(|e| fail(format!("cannot serve on {}: {e}", cli.listen)));
     if let Some(obs) = &obs {
         coordinator = coordinator.with_metrics(CoordMetrics::register(obs.registry()));
@@ -71,89 +62,51 @@ fn main() {
         obs.finish();
     }
     let batch = result.unwrap_or_else(|e| fail(format!("sweep failed: {e}")));
-    tbp_bench::print_batch(&specs, &batch);
+    tbp_bench::print_batch(cli.batch.format, &specs, &batch);
 }
 
 const USAGE: &str = "usage: sweep_coord <scenario.toml>... --listen <host:port> \
                      [--lease-timeout <s>] [--timeout <s>] [--fault <spec>] \
                      [--json|--csv] [--metrics <file>] [--metrics-prom <file>]";
 
+#[derive(Default)]
 struct Cli {
     paths: Vec<PathBuf>,
     listen: String,
-    lease_timeout: Duration,
-    timeout: Option<Duration>,
-    fault: FaultPlan,
-    metrics: Option<PathBuf>,
-    metrics_prom: Option<PathBuf>,
+    config: CoordConfig,
+    /// The batch flags the coordinator honours: the format and the metrics
+    /// outputs.
+    batch: BatchCli,
 }
 
 impl Cli {
-    fn parse(args: impl Iterator<Item = String>) -> Cli {
-        let mut paths = Vec::new();
+    fn parse(args: &mut Args) -> Result<Cli, String> {
+        let mut cli = Cli::default();
         let mut listen = None;
-        let mut lease_timeout = Duration::from_secs(5);
-        let mut timeout = None;
-        let mut fault = FaultPlan::none();
-        let mut metrics = None;
-        let mut metrics_prom = None;
-        let mut args = args;
         while let Some(arg) = args.next() {
+            let config = &mut cli.config;
             match arg.as_str() {
-                "--listen" => listen = Some(flag_value(&mut args, "--listen")),
+                "--listen" => listen = Some(args.value(&arg, "a host:port address")?),
                 "--lease-timeout" => {
-                    lease_timeout = parse_seconds(&flag_value(&mut args, "--lease-timeout"));
+                    config.lease_timeout = Duration::from_secs_f64(args.seconds(&arg)?);
                 }
                 "--timeout" => {
-                    timeout = Some(parse_seconds(&flag_value(&mut args, "--timeout")));
+                    config.completion_timeout = Some(Duration::from_secs_f64(args.seconds(&arg)?));
                 }
                 "--fault" => {
-                    let spec = flag_value(&mut args, "--fault");
-                    fault = FaultPlan::parse(&spec).unwrap_or_else(|e| fail_usage(e));
+                    config.fault = args.parse_with(&arg, "a fault plan", FaultPlan::parse)?
                 }
-                "--metrics" => {
-                    metrics = Some(PathBuf::from(flag_value(&mut args, "--metrics")));
+                "--json" | "--csv" | "--metrics" | "--metrics-prom" => {
+                    cli.batch.accept(&arg, args)?;
                 }
-                "--metrics-prom" => {
-                    metrics_prom = Some(PathBuf::from(flag_value(&mut args, "--metrics-prom")));
-                }
-                "--json" | "--csv" => {}
-                other if other.starts_with("--") => {
-                    fail_usage(format!("unknown flag `{other}`\n{USAGE}"))
-                }
-                other => paths.push(PathBuf::from(other)),
+                other if other.starts_with("--") => return Err(args.unexpected(other)),
+                other => cli.paths.push(PathBuf::from(other)),
             }
         }
-        if paths.is_empty() {
-            fail_usage(USAGE);
+        if cli.paths.is_empty() {
+            return Err(USAGE.to_string());
         }
-        let Some(listen) = listen else {
-            fail_usage(format!("--listen is required\n{USAGE}"));
-        };
-        Cli {
-            paths,
-            listen,
-            lease_timeout,
-            timeout,
-            fault,
-            metrics,
-            metrics_prom,
-        }
-    }
-}
-
-fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    match args.next() {
-        Some(v) if !v.starts_with("--") => v,
-        _ => fail_usage(format!("{flag} needs a value\n{USAGE}")),
-    }
-}
-
-fn parse_seconds(value: &str) -> Duration {
-    match value.parse::<f64>() {
-        Ok(secs) if secs.is_finite() && secs > 0.0 => Duration::from_secs_f64(secs),
-        _ => fail_usage(format!(
-            "expected a positive duration in seconds, got `{value}`"
-        )),
+        cli.listen = listen.ok_or_else(|| format!("--listen is required\n{USAGE}"))?;
+        Ok(cli)
     }
 }

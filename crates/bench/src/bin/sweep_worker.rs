@@ -34,90 +34,58 @@
 //! * `--fault <spec>` — deterministic fault injection, e.g.
 //!   `corrupt=3,kill-at-lease=2` (see `FaultPlan::parse`); `kill-at-lease`
 //!   aborts the whole process, exactly like `kill -9`.
-//! * `--metrics <file>` / `--metrics-prom <file>` — live `sweepd.worker_*`
-//!   (and cache) instruments as JSONL heartbeat / Prometheus dump.
+//! * `--metrics <file>` / `--metrics-prom <file>` — live `sweepd.worker_*`,
+//!   runner and cache instruments as JSONL heartbeat / Prometheus dump.
+//! * `--json` / `--csv` — structured report of a `--local-fallback` batch.
+//!
+//! The runner is built by the same `tbp_bench::batch_runner` as
+//! `run_scenario`'s. A bad invocation exits 2 and a runtime failure
+//! (unloadable file, unopenable cache, unreachable coordinator) exits 1,
+//! each with one `error:` line.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use tbp_bench::{fail, fail_usage, MetricsOutputs};
-use tbp_core::scenario::{CacheMetrics, FsCache, Runner};
+use tbp_bench::{fail, fail_usage, Args, BatchCli, MetricsOutputs};
 use tbp_sweepd::{FaultPlan, Worker, WorkerConfig, WorkerMetrics, WorkerOutcome};
 
 fn main() {
-    tbp_bench::exit_cleanly_on_panic();
-    let cli = Cli::parse(std::env::args().skip(1));
+    let cli = Cli::parse(&mut Args::from_env(USAGE)).unwrap_or_else(|e| fail_usage(e));
     let specs = tbp_bench::load_scenarios(&cli.paths);
-    let obs = match (&cli.metrics, &cli.metrics_prom) {
-        (None, None) => None,
-        (metrics, prom) => Some(
-            MetricsOutputs::start(metrics.as_deref(), prom.as_deref())
-                .unwrap_or_else(|e| fail(format!("cannot create metrics file: {e}"))),
-        ),
-    };
-    let mut runner = Runner::new();
-    if let Some(lanes) = cli.lanes {
-        runner = runner.with_lanes(lanes);
-    }
-    if let Some(dir) = &cli.cache_dir {
-        let mut cache = FsCache::open(dir)
-            .unwrap_or_else(|e| fail(format!("cannot open cache dir {}: {e}", dir.display())));
-        if let Some(obs) = &obs {
-            cache = cache.with_metrics(CacheMetrics::register(obs.registry()));
-        }
-        runner = runner.with_cache(cache);
-    }
-    let config = WorkerConfig {
-        name: cli.name,
-        heartbeat: cli.heartbeat,
-        backoff_base: cli.backoff_base,
-        backoff_cap: cli.backoff_cap,
-        max_retries: cli.retries,
-        seed: cli.seed,
-        fault: cli.fault,
-        local_fallback: cli.local_fallback,
-        ..WorkerConfig::default()
-    };
-    let mut worker = Worker::new(&cli.connect, &specs, runner, config)
+    let obs = MetricsOutputs::start(&cli.batch);
+    let runner = tbp_bench::batch_runner(&cli.batch, obs.as_ref());
+    let mut worker = Worker::new(&cli.connect, &specs, runner, cli.config)
         .unwrap_or_else(|e| fail(format!("cannot prepare worker: {e}")));
     if let Some(obs) = &obs {
         worker = worker.with_metrics(WorkerMetrics::register(obs.registry()));
     }
-    match worker.run() {
+    let outcome = worker.run();
+    // A fault-plan kill is a crash all the way: no metrics dump, no flushing.
+    if !matches!(outcome, Ok(WorkerOutcome::Killed { .. })) {
+        if let Some(obs) = obs {
+            obs.finish();
+        }
+    }
+    match outcome {
         Ok(WorkerOutcome::Served { results }) => {
-            if let Some(obs) = obs {
-                obs.finish();
-            }
             eprintln!("[worker] batch complete, delivered {results} results");
         }
         Ok(WorkerOutcome::Killed { at_lease }) => {
-            // Crash semantics all the way: no metrics dump, no flushing —
-            // the process dies as abruptly as `kill -9` would take it.
+            // The process dies as abruptly as `kill -9` would take it.
             eprintln!("[worker] fault plan kill at lease {at_lease}");
             std::process::abort();
         }
         Ok(WorkerOutcome::Stalled { at_lease }) => {
-            if let Some(obs) = obs {
-                obs.finish();
-            }
             fail(format!("fault plan stalled the worker at lease {at_lease}"));
         }
         Ok(WorkerOutcome::LocalBatch(batch)) => {
-            if let Some(obs) = obs {
-                obs.finish();
-            }
             eprintln!(
                 "[worker] coordinator unreachable at {}: ran the batch locally",
                 cli.connect
             );
-            tbp_bench::print_batch(&specs, &batch);
+            tbp_bench::print_batch(cli.batch.format, &specs, &batch);
         }
-        Err(e) => {
-            if let Some(obs) = obs {
-                obs.finish();
-            }
-            fail(e);
-        }
+        Err(e) => fail(e),
     }
 }
 
@@ -127,123 +95,49 @@ const USAGE: &str = "usage: sweep_worker <scenario.toml>... --connect <host:port
                      [--local-fallback] [--fault <spec>] [--json|--csv] \
                      [--metrics <file>] [--metrics-prom <file>]";
 
+#[derive(Default)]
 struct Cli {
     paths: Vec<PathBuf>,
     connect: String,
-    cache_dir: Option<PathBuf>,
-    lanes: Option<usize>,
-    name: String,
-    heartbeat: Duration,
-    retries: u32,
-    backoff_base: Duration,
-    backoff_cap: Duration,
-    seed: u64,
-    fault: FaultPlan,
-    local_fallback: bool,
-    metrics: Option<PathBuf>,
-    metrics_prom: Option<PathBuf>,
+    config: WorkerConfig,
+    /// The batch flags the worker honours: the format, the runner's cache
+    /// and lanes, and the metrics outputs.
+    batch: BatchCli,
 }
 
 impl Cli {
-    fn parse(args: impl Iterator<Item = String>) -> Cli {
-        let defaults = WorkerConfig::default();
-        let mut cli = Cli {
-            paths: Vec::new(),
-            connect: String::new(),
-            cache_dir: None,
-            lanes: None,
-            name: defaults.name,
-            heartbeat: defaults.heartbeat,
-            retries: defaults.max_retries,
-            backoff_base: defaults.backoff_base,
-            backoff_cap: defaults.backoff_cap,
-            seed: defaults.seed,
-            fault: FaultPlan::none(),
-            local_fallback: false,
-            metrics: None,
-            metrics_prom: None,
-        };
+    fn parse(args: &mut Args) -> Result<Cli, String> {
+        let mut cli = Cli::default();
         let mut connect = None;
-        let mut args = args;
         while let Some(arg) = args.next() {
+            let config = &mut cli.config;
             match arg.as_str() {
-                "--connect" => connect = Some(flag_value(&mut args, "--connect")),
-                "--cache-dir" => {
-                    cli.cache_dir = Some(PathBuf::from(flag_value(&mut args, "--cache-dir")));
-                }
-                "--lanes" => {
-                    cli.lanes = Some(parse_number(&flag_value(&mut args, "--lanes"), "--lanes"));
-                }
-                "--name" => cli.name = flag_value(&mut args, "--name"),
-                "--heartbeat" => {
-                    cli.heartbeat = parse_seconds(&flag_value(&mut args, "--heartbeat"));
-                }
-                "--retries" => {
-                    cli.retries =
-                        parse_number::<u32>(&flag_value(&mut args, "--retries"), "--retries");
-                }
+                "--connect" => connect = Some(args.value(&arg, "a host:port address")?),
+                "--name" => config.name = args.value(&arg, "a worker name")?,
+                "--heartbeat" => config.heartbeat = Duration::from_secs_f64(args.seconds(&arg)?),
+                "--retries" => config.max_retries = args.parse(&arg, "a retry count")?,
                 "--backoff-base" => {
-                    cli.backoff_base = Duration::from_millis(parse_number(
-                        &flag_value(&mut args, "--backoff-base"),
-                        "--backoff-base",
-                    ));
+                    config.backoff_base = Duration::from_millis(args.parse(&arg, "milliseconds")?);
                 }
                 "--backoff-cap" => {
-                    cli.backoff_cap = Duration::from_millis(parse_number(
-                        &flag_value(&mut args, "--backoff-cap"),
-                        "--backoff-cap",
-                    ));
+                    config.backoff_cap = Duration::from_millis(args.parse(&arg, "milliseconds")?);
                 }
-                "--seed" => {
-                    cli.seed = parse_number::<u64>(&flag_value(&mut args, "--seed"), "--seed");
-                }
+                "--seed" => config.seed = args.parse(&arg, "a number")?,
                 "--fault" => {
-                    let spec = flag_value(&mut args, "--fault");
-                    cli.fault = FaultPlan::parse(&spec).unwrap_or_else(|e| fail_usage(e));
+                    config.fault = args.parse_with(&arg, "a fault plan", FaultPlan::parse)?
                 }
-                "--local-fallback" => cli.local_fallback = true,
-                "--metrics" => {
-                    cli.metrics = Some(PathBuf::from(flag_value(&mut args, "--metrics")));
+                "--local-fallback" => config.local_fallback = true,
+                "--json" | "--csv" | "--cache-dir" | "--lanes" | "--metrics" | "--metrics-prom" => {
+                    cli.batch.accept(&arg, args)?;
                 }
-                "--metrics-prom" => {
-                    cli.metrics_prom = Some(PathBuf::from(flag_value(&mut args, "--metrics-prom")));
-                }
-                "--json" | "--csv" => {}
-                other if other.starts_with("--") => {
-                    fail_usage(format!("unknown flag `{other}`\n{USAGE}"))
-                }
+                other if other.starts_with("--") => return Err(args.unexpected(other)),
                 other => cli.paths.push(PathBuf::from(other)),
             }
         }
         if cli.paths.is_empty() {
-            fail_usage(USAGE);
+            return Err(USAGE.to_string());
         }
-        let Some(connect) = connect else {
-            fail_usage(format!("--connect is required\n{USAGE}"));
-        };
-        cli.connect = connect;
-        cli
+        cli.connect = connect.ok_or_else(|| format!("--connect is required\n{USAGE}"))?;
+        Ok(cli)
     }
-}
-
-fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    match args.next() {
-        Some(v) if !v.starts_with("--") => v,
-        _ => fail_usage(format!("{flag} needs a value\n{USAGE}")),
-    }
-}
-
-fn parse_seconds(value: &str) -> Duration {
-    match value.parse::<f64>() {
-        Ok(secs) if secs.is_finite() && secs > 0.0 => Duration::from_secs_f64(secs),
-        _ => fail_usage(format!(
-            "expected a positive duration in seconds, got `{value}`"
-        )),
-    }
-}
-
-fn parse_number<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| fail_usage(format!("{flag} needs a number, got `{value}`")))
 }

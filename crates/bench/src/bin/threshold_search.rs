@@ -20,12 +20,16 @@
 //! ```
 //!
 //! Flags: `--package mobile|hiperf`, `--grid a,b,c`, `--refine N`,
-//! `--warmup S`, `--settle S`, `--window S`, `--json`/`--csv` (or
-//! `TBP_FORMAT`), `--out FILE` (always JSON).
+//! `--warmup S`, `--settle S`, `--window S`, `--json`/`--csv`, `--out FILE`
+//! (always JSON). A search must apply at least three live swaps, so the
+//! grid needs three thresholds, or two and a refinement. A bad invocation
+//! exits 2 and a failed simulation or unwritable `--out` file exits 1, each
+//! with one `error:` line.
 
 use serde::Serialize;
 
 use tbp_arch::units::Seconds;
+use tbp_bench::{fail, fail_usage, Args, BatchCli, ReportFormat};
 use tbp_core::scenario::{ScenarioSpec, SpecDelta};
 use tbp_core::sim::Simulation;
 use tbp_thermal::package::PackageKind;
@@ -71,18 +75,24 @@ struct Options {
     settle: f64,
     window: f64,
     out: Option<String>,
+    format: ReportFormat,
 }
 
+const USAGE: &str = "usage: threshold_search [--package mobile|hiperf] [--grid a,b,c] \
+                     [--refine N] [--warmup S] [--settle S] [--window S] [--json|--csv] \
+                     [--out FILE]";
+
 fn main() {
-    let options = parse_options();
+    let options = parse_options(&mut Args::from_env(USAGE)).unwrap_or_else(|e| fail_usage(e));
     let spec = ScenarioSpec::new("threshold-search")
         .with_package(options.package)
         .with_policy("thermal-balancing", options.grid[0])
         .with_schedule(options.warmup, 0.0);
-    let mut sim = spec.build().expect("search scenario builds");
+    let mut sim = spec
+        .build()
+        .unwrap_or_else(|e| fail(format!("cannot build the search scenario: {e}")));
     tbp_bench::timed("threshold search", || {
-        sim.run_for(Seconds::new(options.warmup))
-            .expect("warm-up runs");
+        run(&mut sim, Seconds::new(options.warmup));
 
         let mut evaluations: Vec<Evaluation> = Vec::new();
         for &threshold in &options.grid {
@@ -110,22 +120,29 @@ fn main() {
             best,
             evaluations,
         };
-        assert!(
-            report.swaps >= 3,
-            "a search must exercise at least 3 live swaps (got {})",
-            report.swaps
-        );
+        if report.swaps < 3 {
+            fail_usage(format!(
+                "a search must apply at least 3 live swaps, this one applied {}; \
+                 give --grid three thresholds, or two and --refine 1",
+                report.swaps
+            ));
+        }
         emit(&report, &options);
     });
+}
+
+/// Runs the simulation for `duration`; a failed step is a runtime failure.
+fn run(sim: &mut Simulation, duration: Seconds) {
+    sim.run_for(duration)
+        .unwrap_or_else(|e| fail(format!("the search simulation failed: {e}")));
 }
 
 /// Retunes the running simulation to `threshold` (one live swap), lets it
 /// settle, then measures one window.
 fn evaluate(sim: &mut Simulation, threshold: f64, options: &Options) -> Evaluation {
     sim.apply_delta(&SpecDelta::new().with_threshold(threshold))
-        .expect("threshold delta applies");
-    sim.run_for(Seconds::new(options.settle))
-        .expect("settle runs");
+        .unwrap_or_else(|e| fail(format!("cannot retune to {threshold} °C: {e}")));
+    run(sim, Seconds::new(options.settle));
 
     let migrations_before = sim.os().migration().totals().migrations;
     let misses_before = sim.pipeline().map(|p| p.qos().deadline_misses).unwrap_or(0);
@@ -137,7 +154,7 @@ fn evaluate(sim: &mut Simulation, threshold: f64, options: &Options) -> Evaluati
     let mut sigma_acc = 0.0;
     let mut spread_acc = 0.0;
     for _ in 0..samples {
-        sim.run_for(sample).expect("window step runs");
+        run(sim, sample);
         let temps = sim.sensor_readings();
         let n = temps.len() as f64;
         let mean = temps.iter().map(|t| t.as_celsius()).sum::<f64>() / n;
@@ -147,15 +164,7 @@ fn evaluate(sim: &mut Simulation, threshold: f64, options: &Options) -> Evaluati
             .sum::<f64>()
             / n;
         sigma_acc += variance.sqrt();
-        let max = temps
-            .iter()
-            .map(|t| t.as_celsius())
-            .fold(f64::MIN, f64::max);
-        let min = temps
-            .iter()
-            .map(|t| t.as_celsius())
-            .fold(f64::MAX, f64::min);
-        spread_acc += max - min;
+        spread_acc += tbp_bench::spread(temps);
     }
     Evaluation {
         threshold,
@@ -205,12 +214,13 @@ fn bracket_midpoints(evaluations: &[Evaluation]) -> Vec<f64> {
 fn emit(report: &SearchReport, options: &Options) {
     let json = serde_json::to_string_pretty(report).expect("report serializes");
     if let Some(path) = &options.out {
-        std::fs::write(path, format!("{json}\n")).expect("report file writes");
+        std::fs::write(path, format!("{json}\n"))
+            .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         eprintln!("[threshold_search] wrote {path}");
     }
-    match tbp_bench::report_format() {
-        tbp_bench::ReportFormat::Json => println!("{json}"),
-        tbp_bench::ReportFormat::Csv => {
+    match options.format {
+        ReportFormat::Json => println!("{json}"),
+        ReportFormat::Csv => {
             println!("threshold_c,sigma_spatial_c,mean_spread_c,migrations,deadline_misses");
             for e in &report.evaluations {
                 println!(
@@ -223,7 +233,7 @@ fn emit(report: &SearchReport, options: &Options) {
                 );
             }
         }
-        tbp_bench::ReportFormat::Table => {
+        ReportFormat::Table => {
             let rows: Vec<Vec<String>> = report
                 .evaluations
                 .iter()
@@ -259,7 +269,7 @@ fn emit(report: &SearchReport, options: &Options) {
     }
 }
 
-fn parse_options() -> Options {
+fn parse_options(args: &mut Args) -> Result<Options, String> {
     let mut options = Options {
         package: PackageKind::MobileEmbedded,
         grid: vec![1.0, 2.0, 3.0, 4.0],
@@ -268,50 +278,40 @@ fn parse_options() -> Options {
         settle: 1.0,
         window: 3.0,
         out: None,
+        format: ReportFormat::Table,
     };
-    let mut args = std::env::args().skip(1);
+    let mut batch = BatchCli::default();
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
         match arg.as_str() {
             "--package" => {
-                options.package = match value("--package").as_str() {
-                    "mobile" => PackageKind::MobileEmbedded,
-                    "hiperf" => PackageKind::HighPerformance,
-                    other => panic!("unknown package `{other}` (use mobile|hiperf)"),
-                }
+                options.package = args.parse_with(&arg, "mobile or hiperf", |v| match v {
+                    "mobile" => Ok(PackageKind::MobileEmbedded),
+                    "hiperf" => Ok(PackageKind::HighPerformance),
+                    _ => Err("unknown package"),
+                })?;
             }
             "--grid" => {
-                options.grid = value("--grid")
-                    .split(',')
-                    .map(|t| {
-                        let t: f64 = t.trim().parse().expect("--grid takes numbers");
-                        assert!(t.is_finite() && t > 0.0, "grid thresholds must be positive");
-                        t
-                    })
-                    .collect();
-                assert!(!options.grid.is_empty(), "--grid needs at least one value");
+                options.grid = args.parse_with(&arg, "positive thresholds, e.g. 1,2,3", |v| {
+                    v.split(',')
+                        .map(|t| match t.trim().parse::<f64>() {
+                            Ok(t) if t.is_finite() && t > 0.0 => Ok(t),
+                            Ok(t) => Err(format!("{t} is not a positive threshold")),
+                            Err(e) => Err(format!("`{t}`: {e}")),
+                        })
+                        .collect::<Result<Vec<f64>, String>>()
+                })?;
             }
-            "--refine" => {
-                options.refinements = value("--refine")
-                    .parse()
-                    .expect("--refine takes an integer")
+            "--refine" => options.refinements = args.parse(&arg, "a refinement count")?,
+            "--warmup" => options.warmup = args.seconds(&arg)?,
+            "--settle" => options.settle = args.seconds(&arg)?,
+            "--window" => options.window = args.seconds(&arg)?,
+            "--out" => options.out = Some(args.value(&arg, "a file path")?),
+            "--json" | "--csv" => {
+                batch.accept(&arg, args)?;
             }
-            "--warmup" => {
-                options.warmup = value("--warmup").parse().expect("--warmup takes seconds")
-            }
-            "--settle" => {
-                options.settle = value("--settle").parse().expect("--settle takes seconds")
-            }
-            "--window" => {
-                options.window = value("--window").parse().expect("--window takes seconds")
-            }
-            "--out" => options.out = Some(value("--out")),
-            "--json" | "--csv" => {} // handled by tbp_bench::report_format
-            other => panic!("unknown flag `{other}`"),
+            other => return Err(args.unexpected(other)),
         }
     }
-    options
+    options.format = batch.format;
+    Ok(options)
 }

@@ -37,7 +37,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use tbp_bench::{fail, fail_usage};
+use tbp_bench::{fail, fail_usage, Args};
 use tbp_obs::export::{to_csv, to_perfetto_json};
 use tbp_obs::stats::{series_stats, sparkline, windowed_stats, WindowStat};
 use tbp_obs::{TraceData, TraceReader, TraceTailer};
@@ -47,8 +47,7 @@ const USAGE: &str = "usage: trace_explore <file.tbptrace> [--window <s>] \
                      [--follow-timeout <s>]";
 
 fn main() {
-    tbp_bench::exit_cleanly_on_panic();
-    let cli = Cli::parse(std::env::args().skip(1));
+    let cli = Cli::parse(&mut Args::from_env(USAGE)).unwrap_or_else(|e| fail_usage(e));
     if cli.follow {
         follow(&cli.file, cli.window.unwrap_or(1.0), cli.follow_timeout);
         return;
@@ -56,10 +55,7 @@ fn main() {
     let data = TraceReader::read_file(&cli.file)
         .unwrap_or_else(|e| fail(format!("cannot read trace {}: {e}", cli.file.display())));
     if let Some(export) = cli.export {
-        let rendered = match export {
-            Export::Perfetto => to_perfetto_json(&data),
-            Export::Csv => to_csv(&data),
-        };
+        let rendered = export(&data);
         match &cli.out {
             Some(path) => std::fs::write(path, rendered)
                 .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", path.display()))),
@@ -73,88 +69,57 @@ fn main() {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Export {
-    Perfetto,
-    Csv,
-}
-
+#[derive(Default)]
 struct Cli {
     file: PathBuf,
     window: Option<f64>,
-    export: Option<Export>,
+    /// The exporter `--export` picked.
+    export: Option<fn(&TraceData) -> String>,
     out: Option<PathBuf>,
     follow: bool,
     follow_timeout: Option<Duration>,
 }
 
 impl Cli {
-    fn parse(args: impl Iterator<Item = String>) -> Cli {
-        let mut file = None;
-        let mut window = None;
-        let mut export = None;
-        let mut out = None;
-        let mut follow = false;
-        let mut follow_timeout = None;
-        let mut args = args.peekable();
-        fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-            match args.next() {
-                Some(v) if !v.starts_with("--") => v,
-                _ => fail_usage(format!("{flag} needs a value\n{USAGE}")),
-            }
-        }
-        fn seconds(args: &mut impl Iterator<Item = String>, flag: &str) -> f64 {
-            let v = value(args, flag);
-            match v.parse::<f64>() {
-                Ok(secs) if secs.is_finite() && secs > 0.0 => secs,
-                _ => fail_usage(format!(
-                    "{flag} needs a positive duration in seconds, got `{v}`"
-                )),
-            }
-        }
+    fn parse(args: &mut Args) -> Result<Cli, String> {
+        let mut cli = Cli::default();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--window" => window = Some(seconds(&mut args, "--window")),
+                "--window" => cli.window = Some(args.seconds(&arg)?),
                 "--export" => {
-                    export = Some(match value(&mut args, "--export").as_str() {
-                        "perfetto" => Export::Perfetto,
-                        "csv" => Export::Csv,
-                        other => fail_usage(format!(
-                            "unknown export format `{other}` (known: perfetto, csv)"
-                        )),
-                    })
+                    cli.export = Some(match args.value(&arg, "a format")?.as_str() {
+                        "perfetto" => to_perfetto_json,
+                        "csv" => to_csv,
+                        other => {
+                            return Err(format!(
+                                "unknown export format `{other}` (known: perfetto, csv)"
+                            ))
+                        }
+                    });
                 }
-                "--out" => out = Some(PathBuf::from(value(&mut args, "--out"))),
-                "--follow" => follow = true,
+                "--out" => cli.out = Some(PathBuf::from(args.value(&arg, "a file path")?)),
+                "--follow" => cli.follow = true,
                 "--follow-timeout" => {
-                    let secs = seconds(&mut args, "--follow-timeout");
-                    follow_timeout = Some(Duration::from_secs_f64(secs));
+                    cli.follow_timeout = Some(Duration::from_secs_f64(args.seconds(&arg)?));
                 }
-                other if other.starts_with("--") => {
-                    fail_usage(format!("unknown flag `{other}`\n{USAGE}"))
+                other if other.starts_with("--") || !cli.file.as_os_str().is_empty() => {
+                    return Err(args.unexpected(other))
                 }
-                other => {
-                    if file.is_some() {
-                        fail_usage(format!("more than one trace file given\n{USAGE}"));
-                    }
-                    file = Some(PathBuf::from(other));
-                }
+                other => cli.file = PathBuf::from(other),
             }
         }
-        if follow && export.is_some() {
-            fail_usage("--follow streams windowed stats and cannot be combined with --export");
+        if cli.file.as_os_str().is_empty() {
+            return Err(USAGE.to_string());
         }
-        if !follow && follow_timeout.is_some() {
-            fail_usage("--follow-timeout only makes sense with --follow");
+        if cli.follow && cli.export.is_some() {
+            return Err(
+                "--follow streams windowed stats and cannot be combined with --export".into(),
+            );
         }
-        Cli {
-            file: file.unwrap_or_else(|| fail_usage(USAGE)),
-            window,
-            export,
-            out,
-            follow,
-            follow_timeout,
+        if !cli.follow && cli.follow_timeout.is_some() {
+            return Err("--follow-timeout only makes sense with --follow".into());
         }
+        Ok(cli)
     }
 }
 

@@ -6,7 +6,7 @@
 //!     [--metrics <jsonl>]    # show the run's heartbeat in the status bar
 //!     [--window <seconds>]   # initial windowed-stats window
 //!     [--render-once]        # print one frame to stdout and exit (headless)
-//!     [--width <cols>] [--height <rows>]
+//!     [--width <cols>] [--height <rows>]   # 1..=1000 cells each
 //! ```
 //!
 //! The explorer state and every pane render through the pure
@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use tbp_bench::{fail, fail_usage};
+use tbp_bench::{fail, fail_usage, Args};
 use tbp_obs::tui::{Explorer, Frame, Heartbeat, Key};
 use tbp_obs::{MetricsSnapshot, TraceData, TraceError, TraceReader, TraceTailer};
 
@@ -47,8 +47,7 @@ const USAGE: &str = "usage: trace_tui <file.tbptrace> [--follow] [--metrics <jso
                      [--window <s>] [--render-once] [--width <cols>] [--height <rows>]";
 
 fn main() {
-    tbp_bench::exit_cleanly_on_panic();
-    let cli = Cli::parse(std::env::args().skip(1));
+    let cli = Cli::parse(&mut Args::from_env(USAGE)).unwrap_or_else(|e| fail_usage(e));
     let label = cli
         .file
         .file_name()
@@ -78,63 +77,47 @@ struct Cli {
 }
 
 impl Cli {
-    fn parse(args: impl Iterator<Item = String>) -> Cli {
-        let mut file = None;
-        let mut follow = false;
-        let mut render_once = false;
-        let mut window = None;
-        let mut metrics = None;
-        let mut width = 100usize;
-        let mut height = 30usize;
-        let mut args = args.peekable();
-        fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-            match args.next() {
-                Some(v) if !v.starts_with("--") => v,
-                _ => fail_usage(format!("{flag} needs a value\n{USAGE}")),
-            }
-        }
-        fn cells(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
-            let v = value(args, flag);
-            v.parse()
-                .unwrap_or_else(|_| fail_usage(format!("{flag} needs a cell count, got `{v}`")))
-        }
+    fn parse(args: &mut Args) -> Result<Cli, String> {
+        let mut cli = Cli {
+            file: PathBuf::new(),
+            follow: false,
+            render_once: false,
+            window: None,
+            metrics: None,
+            width: 100,
+            height: 30,
+        };
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--follow" => follow = true,
-                "--render-once" => render_once = true,
-                "--window" => {
-                    let v = value(&mut args, "--window");
-                    window = match v.parse::<f64>() {
-                        Ok(secs) if secs.is_finite() && secs > 0.0 => Some(secs),
-                        _ => fail_usage(format!(
-                            "--window needs a positive duration in seconds, got `{v}`"
-                        )),
-                    };
+                "--follow" => cli.follow = true,
+                "--render-once" => cli.render_once = true,
+                "--window" => cli.window = Some(args.seconds(&arg)?),
+                "--metrics" => cli.metrics = Some(PathBuf::from(args.value(&arg, "a file path")?)),
+                "--width" => cli.width = cells(args, &arg)?,
+                "--height" => cli.height = cells(args, &arg)?,
+                other if other.starts_with("--") || !cli.file.as_os_str().is_empty() => {
+                    return Err(args.unexpected(other))
                 }
-                "--metrics" => metrics = Some(PathBuf::from(value(&mut args, "--metrics"))),
-                "--width" => width = cells(&mut args, "--width"),
-                "--height" => height = cells(&mut args, "--height"),
-                other if other.starts_with("--") => {
-                    fail_usage(format!("unknown flag `{other}`\n{USAGE}"))
-                }
-                other => {
-                    if file.is_some() {
-                        fail_usage(format!("more than one trace file given\n{USAGE}"));
-                    }
-                    file = Some(PathBuf::from(other));
-                }
+                other => cli.file = PathBuf::from(other),
             }
         }
-        Cli {
-            file: file.unwrap_or_else(|| fail_usage(USAGE)),
-            follow,
-            render_once,
-            window,
-            metrics,
-            width,
-            height,
+        if cli.file.as_os_str().is_empty() {
+            return Err(USAGE.to_string());
         }
+        Ok(cli)
     }
+}
+
+/// The largest frame side, in cells: a frame allocates width × height cells.
+const MAX_CELLS: usize = 1000;
+
+/// The value of the frame-size flag `flag`.
+fn cells(args: &mut Args, flag: &str) -> Result<usize, String> {
+    args.parse_with(flag, "a cell count", |value| match value.parse::<usize>() {
+        Ok(n) if (1..=MAX_CELLS).contains(&n) => Ok(n),
+        Ok(_) => Err(format!("not in 1..={MAX_CELLS}")),
+        Err(e) => Err(e.to_string()),
+    })
 }
 
 /// Builds the explorer state shared by both entry points: the trace (read

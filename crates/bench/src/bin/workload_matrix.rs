@@ -9,12 +9,17 @@
 //! cargo run --release -p tbp-bench --bin workload_matrix -- --cache-dir .tbp-cache
 //! ```
 //!
-//! Accepts the shared batch flags (`--json`/`--csv`, `--cache-dir`,
-//! `--shard i/k`, `--merge`) and `TBP_DURATION`.
+//! Accepts every batch flag of `tbp_bench` (`--json`/`--csv`, `--cache-dir`,
+//! `--shard i/k`, `--merge`, `--lanes`, `--trace-dir` and the observability
+//! flags) and no other argument; `TBP_DURATION` sets the measured window
+//! (default 20 s, at least 1 s).
 
+use tbp_bench::{Args, BatchCli, BATCH_USAGE};
 use tbp_core::scenario::{RunReport, ScenarioSpec, SweepSpec, WorkloadKind};
 
 fn main() {
+    let args = Args::from_env(format!("usage: workload_matrix {BATCH_USAGE}"));
+    let (cli, _) = BatchCli::parse(args, false).unwrap_or_else(|e| tbp_bench::fail_usage(e));
     let duration = tbp_bench::measured_duration();
     let spec = ScenarioSpec::new("workload-matrix")
         .with_description("All three policies across the four workload families")
@@ -30,38 +35,26 @@ fn main() {
                 ])
                 .with_policies(["thermal-balancing", "stop-and-go", "energy-balancing"]),
         );
-    let Some(batch) = tbp_bench::run_cli("workload matrix", &[spec]) else {
+    let Some(batch) = tbp_bench::run_cli(&cli, "workload matrix", &[spec]) else {
         return; // shard mode: the partial report went to stdout
     };
-    if tbp_bench::emit_structured(&batch) {
+    if tbp_bench::emit_structured(cli.format, &batch) {
         return;
     }
 
     let reports: Vec<&RunReport> = batch.reports.iter().collect();
-    let policies = tbp_bench::policy_columns(&reports);
     let mut header = vec!["workload"];
-    header.extend(policies.iter().copied());
-
-    let workloads = workload_rows(&reports);
-    let pivot = |metric: &dyn Fn(&RunReport) -> f64| -> Vec<Vec<String>> {
-        workloads
-            .iter()
-            .map(|workload| {
-                let mut row = vec![workload.clone()];
-                for policy in &policies {
-                    let value = reports
-                        .iter()
-                        .find(|r| {
-                            r.workload.as_deref() == Some(workload)
-                                && r.policy.as_deref() == Some(*policy)
-                        })
-                        .map(|r| metric(r))
-                        .unwrap_or(f64::NAN);
-                    row.push(format!("{value:.3}"));
-                }
-                row
-            })
-            .collect()
+    header.extend(tbp_bench::policy_columns(&reports));
+    let workloads = tbp_bench::distinct(&reports, |r| r.workload.as_deref());
+    let pivot = |metric: &dyn Fn(&RunReport) -> f64| {
+        let label = |workload: &str| workload.to_string();
+        tbp_bench::pivot_by_policy(
+            &reports,
+            &workloads,
+            label,
+            |r| r.workload.as_deref(),
+            metric,
+        )
     };
 
     tbp_bench::print_table(
@@ -82,17 +75,4 @@ fn main() {
         &header,
         &pivot(&|r| r.summary().map_or(f64::NAN, |s| s.migrations_per_second())),
     );
-}
-
-/// The distinct workload labels of the batch, in first-appearance order.
-fn workload_rows(reports: &[&RunReport]) -> Vec<String> {
-    let mut workloads: Vec<String> = Vec::new();
-    for report in reports {
-        if let Some(workload) = report.workload.as_deref() {
-            if !workloads.iter().any(|w| w == workload) {
-                workloads.push(workload.to_string());
-            }
-        }
-    }
-    workloads
 }

@@ -10,41 +10,60 @@
 //! reproduces. `reproduce_all` adds the two trace-based narratives
 //! ([`print_narratives`]).
 //!
-//! All binaries accept `--json` / `--csv` (or `TBP_FORMAT=json|csv`) to emit
-//! the structured reports instead of plain-text tables, and honour
-//! `TBP_DURATION=<seconds>` to shorten the measured window.
+//! # The command line
 //!
-//! Binaries that execute batches additionally accept (see [`run_cli`]):
+//! Every binary reads its arguments once, through one cursor ([`Args`]), and
+//! accepts exactly the flags it honours. The batch binaries share one flag
+//! type, [`BatchCli`] (see [`run_cli`]):
 //!
-//! * `--cache-dir <dir>` (or `TBP_CACHE_DIR`) — memoize run reports in a
-//!   content-addressed filesystem cache; warm re-runs simulate nothing.
-//! * `--shard i/k` (or `TBP_SHARD`) — execute only the i-th of k contiguous
-//!   shards of the batch and print a partial report (JSON) on stdout.
-//! * `--lanes <n>` (or `TBP_LANES`) — step up to `n` compatible simulation
-//!   misses in lockstep through one SIMD lane batch; output is byte-identical
-//!   to `--lanes 1`.
+//! * `--json` / `--csv` — emit the structured report instead of plain-text
+//!   tables; `--json` wins when both are given.
+//! * `--cache-dir <dir>` — memoize run reports in a content-addressed
+//!   filesystem cache; warm re-runs simulate nothing.
+//! * `--shard i/k` — execute only the i-th of k contiguous shards of the
+//!   batch and print a partial report (JSON) on stdout.
+//! * `--lanes <n>` — step up to `n` compatible simulation misses in lockstep
+//!   through one SIMD lane batch; output is byte-identical to `--lanes 1`.
+//! * `--trace-dir <dir>` — write one `.tbptrace` per simulated run.
 //! * `--merge <file>...` — skip execution, merge previously emitted partial
-//!   reports back into the full batch and render it as usual.
-//! * `--metrics <file>` (or `TBP_METRICS`) — append a JSONL
+//!   reports back into the full batch and render it as usual. It takes the
+//!   files up to the next `--flag` and cannot be combined with the execution
+//!   or observability flags.
+//! * `--metrics <file>` — append a JSONL
 //!   [`MetricsSnapshot`](tbp_obs::MetricsSnapshot) heartbeat line every
 //!   ~500 ms while the batch runs (plus a final line), for live dashboards
 //!   and `trace_tui`'s status bar.
-//! * `--metrics-prom <file>` (or `TBP_METRICS_PROM`) — write a one-shot
-//!   Prometheus-style exposition of the final metric values on completion.
-//! * `--progress` (or `TBP_PROGRESS=1`) — print a `[progress]` line to
-//!   stderr every ~500 ms (done/total, cache hits/misses, elapsed,
-//!   aggregate steps/s). Off by default so existing stderr greps stay
-//!   stable.
+//! * `--metrics-prom <file>` — write a one-shot Prometheus-style exposition
+//!   of the final metric values on completion.
+//! * `--progress` — print a `[progress]` line to stderr every ~500 ms
+//!   (done/total, cache hits/misses, elapsed, aggregate steps/s). Off by
+//!   default so existing stderr greps stay stable.
+//!
+//! A repeated flag is last-wins (`--merge` files accumulate). Two environment
+//! variables remain, each read in one place: `TBP_DURATION=<seconds>` sets
+//! the measured window of every simulated run ([`load_scenarios`],
+//! [`measured_duration`]; values below 1 s run 1 s), and
+//! `TBP_SCENARIOS=<dir>` ([`scenarios_dir`]) names `reproduce_all`'s
+//! scenario directory.
 //!
 //! None of the observability flags change what the binaries compute:
 //! reports, CSVs and cache entries stay byte-identical with them on
 //! (`tests/equivalence.rs` proves it for every execution path).
+//!
+//! # The exit contract
+//!
+//! A bad invocation (unknown flag, missing or malformed value, malformed
+//! `TBP_DURATION`) exits 2 through [`fail_usage`]; a runtime failure
+//! (unreadable file, failed run, unreachable coordinator) exits 1 through
+//! [`fail`]. Each prints one `error:` line on stderr. A panic is a bug, and
+//! exits 101 with its backtrace.
 
 #![deny(missing_docs)]
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,21 +80,11 @@ use tbp_os::migration::{MigrationCostModel, MigrationStrategy};
 use tbp_streaming::sdr::SdrBenchmark;
 use tbp_thermal::package::PackageKind;
 
-/// Measured duration used by the figure experiments (seconds of simulated
-/// time after the warm-up). Override with the `TBP_DURATION` environment
-/// variable (e.g. `TBP_DURATION=5` for a quick pass).
-pub fn measured_duration() -> Seconds {
-    let secs = std::env::var("TBP_DURATION")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(20.0);
-    Seconds::new(secs.max(1.0))
-}
-
 /// Output format of a bench binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum ReportFormat {
     /// Human-readable tables (the default).
+    #[default]
     Table,
     /// The batch's JSON report on stdout.
     Json,
@@ -83,26 +92,10 @@ pub enum ReportFormat {
     Csv,
 }
 
-/// The output format selected by `--json`/`--csv` or `TBP_FORMAT`.
-pub fn report_format() -> ReportFormat {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--json") {
-        return ReportFormat::Json;
-    }
-    if args.iter().any(|a| a == "--csv") {
-        return ReportFormat::Csv;
-    }
-    match std::env::var("TBP_FORMAT").as_deref() {
-        Ok("json") => ReportFormat::Json,
-        Ok("csv") => ReportFormat::Csv,
-        _ => ReportFormat::Table,
-    }
-}
-
-/// Emits the batch in the selected structured format, returning `true` when
-/// it did (callers then skip their table rendering).
-pub fn emit_structured(batch: &BatchReport) -> bool {
-    match report_format() {
+/// Emits the batch in `format` when it is a structured one, returning `true`
+/// when it did (callers then skip their table rendering).
+pub fn emit_structured(format: ReportFormat, batch: &BatchReport) -> bool {
+    match format {
         ReportFormat::Json => {
             println!("{}", batch.to_json());
             true
@@ -143,45 +136,43 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Prints an analytic table report.
-fn print_table_report(table: &tbp_core::scenario::TableReport) {
-    let header: Vec<&str> = table.header.iter().map(String::as_str).collect();
-    print_table(&table.title, &header, &table.rows);
+/// The distinct values of `key` over `reports`, in first-appearance order.
+pub fn distinct<'a>(
+    reports: &[&'a RunReport],
+    key: impl Fn(&'a RunReport) -> Option<&'a str>,
+) -> Vec<&'a str> {
+    let mut values: Vec<&str> = Vec::new();
+    for value in reports.iter().filter_map(|r| key(r)) {
+        if !values.contains(&value) {
+            values.push(value);
+        }
+    }
+    values
 }
 
 /// The distinct policies of a report group, in first-appearance order.
 pub fn policy_columns<'a>(reports: &[&'a RunReport]) -> Vec<&'a str> {
-    let mut policies: Vec<&str> = Vec::new();
-    for report in reports {
-        if let Some(policy) = report.policy.as_deref() {
-            if !policies.contains(&policy) {
-                policies.push(policy);
-            }
-        }
-    }
-    policies
+    distinct(reports, |r| r.policy.as_deref())
 }
 
-/// Pivots simulation reports into a threshold-indexed table with one metric
-/// column per policy — the layout of Figures 7–10.
-fn pivot_threshold_policy(
-    reports: &[&RunReport],
+/// Pivots simulation reports into one row per `rows` key, labelled by
+/// `label` and matched by `key`, with one `metric` column per policy — the
+/// layout of Figures 7–10 and of the workload matrix.
+pub fn pivot_by_policy<'a, K: PartialEq + Copy>(
+    reports: &[&'a RunReport],
+    rows: &[K],
+    label: impl Fn(K) -> String,
+    key: impl Fn(&'a RunReport) -> Option<K>,
     metric: impl Fn(&RunReport) -> f64,
 ) -> Vec<Vec<String>> {
-    let mut thresholds: Vec<f64> = reports.iter().filter_map(|r| r.threshold).collect();
-    thresholds.sort_by(|a, b| a.partial_cmp(b).expect("thresholds are finite"));
-    thresholds.dedup();
     let policies = policy_columns(reports);
-    thresholds
-        .iter()
-        .map(|&threshold| {
-            let mut row = vec![format!("{threshold:.0}")];
+    rows.iter()
+        .map(|&row_key| {
+            let mut row = vec![label(row_key)];
             for policy in &policies {
                 let value = reports
                     .iter()
-                    .find(|r| {
-                        r.policy.as_deref() == Some(*policy) && r.threshold == Some(threshold)
-                    })
+                    .find(|r| r.policy.as_deref() == Some(*policy) && key(r) == Some(row_key))
                     .map(|r| metric(r))
                     .unwrap_or(f64::NAN);
                 row.push(format!("{value:.3}"));
@@ -189,6 +180,18 @@ fn pivot_threshold_policy(
             row
         })
         .collect()
+}
+
+/// [`pivot_by_policy`] over the sorted distinct thresholds.
+fn pivot_threshold_policy(
+    reports: &[&RunReport],
+    metric: impl Fn(&RunReport) -> f64,
+) -> Vec<Vec<String>> {
+    let mut thresholds: Vec<f64> = reports.iter().filter_map(|r| r.threshold).collect();
+    thresholds.sort_by(|a, b| a.partial_cmp(b).expect("thresholds are finite"));
+    thresholds.dedup();
+    let label = |threshold: f64| format!("{threshold:.0}");
+    pivot_by_policy(reports, &thresholds, label, |r| r.threshold, metric)
 }
 
 /// One summary row per simulation report (generic fallback rendering).
@@ -220,11 +223,10 @@ const SUMMARY_HEADER: [&str; 6] = [
 ];
 
 /// Renders a batch the way every batch binary does: the structured report
-/// when `--json`/`--csv` asked for one, otherwise the reports of each
-/// scenario of `specs`, in order, in the layout of the paper artefact that
-/// scenario reproduces.
-pub fn print_batch(specs: &[ScenarioSpec], batch: &BatchReport) {
-    if emit_structured(batch) {
+/// when `format` is one, otherwise the reports of each scenario of `specs`,
+/// in order, in the layout of the paper artefact that scenario reproduces.
+pub fn print_batch(format: ReportFormat, specs: &[ScenarioSpec], batch: &BatchReport) {
+    if emit_structured(format, batch) {
         return;
     }
     for spec in specs {
@@ -243,7 +245,8 @@ fn print_group(spec: &ScenarioSpec, batch: &BatchReport) {
         return;
     };
     if let Some(table) = first.table() {
-        print_table_report(table);
+        let header: Vec<&str> = table.header.iter().map(String::as_str).collect();
+        print_table(&table.title, &header, &table.rows);
         match spec.analysis {
             Some(AnalysisKind::Table2Mapping) => print_governor_table(),
             Some(AnalysisKind::Fig2MigrationCost) => print_replication_cost(),
@@ -396,7 +399,7 @@ fn print_queue_capacity(reports: &[&RunReport]) {
 }
 
 /// Hottest minus coolest core temperature (°C).
-fn spread(temps: &[Celsius]) -> f64 {
+pub fn spread(temps: &[Celsius]) -> f64 {
     let celsius = || temps.iter().map(|c| c.as_celsius());
     celsius().fold(f64::MIN, f64::max) - celsius().fold(f64::MAX, f64::min)
 }
@@ -520,33 +523,216 @@ pub fn print_narratives() {
     );
 }
 
-/// Batch-level CLI options shared by the bench binaries: caching, sharding
-/// and partial-report merging.
+/// The command line of a bench binary: a cursor over its arguments, read
+/// from the process once ([`Args::from_env`]).
+///
+/// Every method reports a bad invocation as the `Err` message the binary
+/// hands to [`fail_usage`]. A flag's value must not itself look like a flag:
+/// `--cache-dir --csv` is a forgotten value, not a directory named `--csv`.
+#[derive(Debug)]
+pub struct Args {
+    rest: std::iter::Peekable<std::vec::IntoIter<String>>,
+    usage: String,
+}
+
+impl Args {
+    /// The process arguments after the program name; `usage` ends the
+    /// message of an unexpected argument. An argument that is not valid
+    /// UTF-8 is a usage error ([`fail_usage`]).
+    pub fn from_env(usage: impl Into<String>) -> Args {
+        let args = std::env::args_os().skip(1).map(|arg| {
+            arg.into_string().unwrap_or_else(|arg| {
+                fail_usage(format!(
+                    "argument `{}` is not valid UTF-8",
+                    arg.to_string_lossy()
+                ))
+            })
+        });
+        Args::new(usage, args.collect::<Vec<_>>())
+    }
+
+    /// A cursor over `args`, which excludes the program name.
+    fn new(usage: impl Into<String>, args: impl IntoIterator<Item = String>) -> Args {
+        Args {
+            rest: args.into_iter().collect::<Vec<_>>().into_iter().peekable(),
+            usage: usage.into(),
+        }
+    }
+
+    /// The error for `arg`, an argument the binary does not take.
+    pub fn unexpected(&self, arg: &str) -> String {
+        let what = if arg.starts_with("--") {
+            "unknown flag"
+        } else {
+            "unexpected argument"
+        };
+        format!("{what} `{arg}`\n{}", self.usage)
+    }
+
+    /// The value of `flag`; `what` names it when it is missing.
+    pub fn value(&mut self, flag: &str, what: &str) -> Result<String, String> {
+        self.rest
+            .next_if(|value| !value.starts_with("--"))
+            .ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// The value of `flag` converted by `parse`; a value `parse` rejects is
+    /// reported together with `parse`'s message.
+    pub fn parse_with<T, E: Display>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, String> {
+        let value = self.value(flag, what)?;
+        parse(&value).map_err(|e| format!("{flag} needs {what}, got `{value}`: {e}"))
+    }
+
+    /// The value of `flag` parsed with [`FromStr`].
+    pub fn parse<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.parse_with(flag, what, str::parse)
+    }
+
+    /// The value of `flag` as a positive number of seconds, small enough for
+    /// a [`Duration`] to hold.
+    pub fn seconds(&mut self, flag: &str) -> Result<f64, String> {
+        self.parse_with(flag, "a positive duration in seconds", |value| {
+            let secs: f64 = value
+                .parse()
+                .map_err(|e: std::num::ParseFloatError| e.to_string())?;
+            match Duration::try_from_secs_f64(secs) {
+                Ok(_) if secs > 0.0 => Ok(secs),
+                Ok(_) => Err("not positive".to_string()),
+                Err(e) => Err(e.to_string()),
+            }
+        })
+    }
+
+    /// The arguments up to the next `--flag`.
+    fn values(&mut self) -> Vec<String> {
+        std::iter::from_fn(|| self.rest.next_if(|value| !value.starts_with("--"))).collect()
+    }
+}
+
+impl Iterator for Args {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.rest.next()
+    }
+}
+
+/// The flags the batch binaries share: the output format, the execution
+/// flags (cache, shard, lanes, traces), merging and live observability.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BatchCli {
-    /// Cache directory (`--cache-dir <dir>` or `TBP_CACHE_DIR`).
+    /// `--json` / `--csv`; `--json` wins when both are given.
+    pub format: ReportFormat,
+    /// Cache directory (`--cache-dir <dir>`).
     pub cache_dir: Option<PathBuf>,
-    /// Shard to execute (`--shard i/k` or `TBP_SHARD=i/k`).
+    /// Shard to execute (`--shard i/k`).
     pub shard: Option<ShardPlan>,
-    /// Directory for per-run binary traces (`--trace-dir <dir>` or
-    /// `TBP_TRACE_DIR`).
+    /// Directory for per-run binary traces (`--trace-dir <dir>`).
     pub trace_dir: Option<PathBuf>,
-    /// Lanes per batched simulation step (`--lanes <n>` or `TBP_LANES`);
-    /// `None` means the classic one-simulation-per-run path.
+    /// Lanes per batched simulation step (`--lanes <n>`); `None` means the
+    /// classic one-simulation-per-run path.
     pub lanes: Option<usize>,
     /// Partial-report files to merge instead of executing (`--merge <f>...`).
     pub merge: Vec<PathBuf>,
-    /// JSONL metrics heartbeat file (`--metrics <file>` or `TBP_METRICS`).
+    /// JSONL metrics heartbeat file (`--metrics <file>`).
     pub metrics: Option<PathBuf>,
     /// One-shot Prometheus exposition file on completion
-    /// (`--metrics-prom <file>` or `TBP_METRICS_PROM`).
+    /// (`--metrics-prom <file>`).
     pub metrics_prom: Option<PathBuf>,
     /// Whether to print periodic `[progress]` lines to stderr
-    /// (`--progress` or `TBP_PROGRESS=1`).
+    /// (`--progress`).
     pub progress: bool,
 }
 
+/// The batch flags in usage notation, for the usage line of a binary that
+/// takes them all.
+pub const BATCH_USAGE: &str = "[--json|--csv] [--cache-dir <dir>] [--shard i/k] \
+                               [--lanes <n>] [--trace-dir <dir>] [--merge <partial.json>...] \
+                               [--metrics <file>] [--metrics-prom <file>] [--progress]";
+
 impl BatchCli {
+    /// Parses the whole command line of a binary that takes every batch
+    /// flag, returning the flags and the positional arguments: scenario
+    /// files, which the binary needs at least one of when `files` is set and
+    /// takes none of otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The usage error of the first bad argument, of missing files, or of
+    /// `--merge` combined with an execution or observability flag.
+    pub fn parse(mut args: Args, files: bool) -> Result<(BatchCli, Vec<PathBuf>), String> {
+        let mut cli = BatchCli::default();
+        let mut positional = Vec::new();
+        while let Some(arg) = args.next() {
+            if cli.accept(&arg, &mut args)? {
+                continue;
+            }
+            if !files || arg.starts_with("--") {
+                return Err(args.unexpected(&arg));
+            }
+            positional.push(PathBuf::from(arg));
+        }
+        if files && positional.is_empty() {
+            return Err(args.usage.clone());
+        }
+        // A merge executes nothing: an execution or observability flag next
+        // to it would be silently ignored.
+        if cli.is_merge()
+            && (cli.shard.is_some()
+                || cli.cache_dir.is_some()
+                || cli.trace_dir.is_some()
+                || cli.wants_observability())
+        {
+            return Err(
+                "--merge executes nothing and cannot be combined with --shard, \
+                        --cache-dir, --trace-dir, --metrics, --metrics-prom or --progress"
+                    .to_string(),
+            );
+        }
+        Ok((cli, positional))
+    }
+
+    /// Consumes the batch flag `flag`, and its value, from `args`; `Ok(false)`
+    /// when `flag` is not a batch flag.
+    ///
+    /// # Errors
+    ///
+    /// The usage error of a missing or malformed value.
+    pub fn accept(&mut self, flag: &str, args: &mut Args) -> Result<bool, String> {
+        match flag {
+            "--json" => self.format = ReportFormat::Json,
+            "--csv" if self.format != ReportFormat::Json => self.format = ReportFormat::Csv,
+            "--csv" => {}
+            "--cache-dir" => self.cache_dir = Some(args.value(flag, "a directory")?.into()),
+            "--shard" => {
+                self.shard =
+                    Some(args.parse_with(flag, "an i/k value, e.g. 2/4", ShardPlan::parse)?);
+            }
+            "--trace-dir" => self.trace_dir = Some(args.value(flag, "a directory")?.into()),
+            "--lanes" => self.lanes = Some(args.parse(flag, "a lane count")?),
+            "--metrics" => self.metrics = Some(args.value(flag, "a file path")?.into()),
+            "--metrics-prom" => self.metrics_prom = Some(args.value(flag, "a file path")?.into()),
+            "--progress" => self.progress = true,
+            "--merge" => {
+                let files = args.values();
+                if files.is_empty() {
+                    return Err("--merge needs at least one partial-report file".to_string());
+                }
+                self.merge.extend(files.into_iter().map(PathBuf::from));
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
     /// Whether the binary should merge partials instead of executing runs.
     pub fn is_merge(&self) -> bool {
         !self.merge.is_empty()
@@ -558,130 +744,7 @@ impl BatchCli {
     }
 }
 
-/// Parses the batch-level flags from the process arguments and environment.
-///
-/// A `--merge` invocation executes nothing, so combining it with `--shard`
-/// or `--cache-dir` is rejected as a usage error rather than silently
-/// ignoring the execution flags. The `TBP_CACHE_DIR`/`TBP_SHARD` environment
-/// fallbacks are not applied in merge mode (a globally exported cache dir
-/// must not break merge invocations).
-///
-/// # Panics
-///
-/// Panics with a usage message on malformed flags (a missing value after
-/// `--cache-dir`/`--shard`/`--merge`, an unparsable shard, or `--merge`
-/// combined with the execution flags).
-pub fn batch_cli() -> BatchCli {
-    let mut cli = parse_batch_cli(std::env::args().skip(1));
-    if cli.is_merge() {
-        return cli;
-    }
-    if cli.cache_dir.is_none() {
-        if let Ok(dir) = std::env::var("TBP_CACHE_DIR") {
-            cli.cache_dir = Some(PathBuf::from(dir));
-        }
-    }
-    if cli.shard.is_none() {
-        if let Ok(shard) = std::env::var("TBP_SHARD") {
-            cli.shard = Some(ShardPlan::parse(&shard).expect("TBP_SHARD parses"));
-        }
-    }
-    if cli.trace_dir.is_none() {
-        if let Ok(dir) = std::env::var("TBP_TRACE_DIR") {
-            cli.trace_dir = Some(PathBuf::from(dir));
-        }
-    }
-    if cli.lanes.is_none() {
-        if let Ok(lanes) = std::env::var("TBP_LANES") {
-            cli.lanes = Some(lanes.parse().expect("TBP_LANES parses as a lane count"));
-        }
-    }
-    if cli.metrics.is_none() {
-        if let Ok(path) = std::env::var("TBP_METRICS") {
-            cli.metrics = Some(PathBuf::from(path));
-        }
-    }
-    if cli.metrics_prom.is_none() {
-        if let Ok(path) = std::env::var("TBP_METRICS_PROM") {
-            cli.metrics_prom = Some(PathBuf::from(path));
-        }
-    }
-    if !cli.progress {
-        if let Ok(value) = std::env::var("TBP_PROGRESS") {
-            cli.progress = !matches!(value.as_str(), "" | "0");
-        }
-    }
-    cli
-}
-
-fn parse_batch_cli(args: impl Iterator<Item = String>) -> BatchCli {
-    let mut cli = BatchCli::default();
-    // A flag's value must not itself look like a flag: `--cache-dir --csv`
-    // is a forgotten value, not a directory named `--csv`.
-    fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
-        match args.next() {
-            Some(value) if !value.starts_with("--") => value,
-            _ => panic!("{flag} needs {what}"),
-        }
-    }
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--cache-dir" => {
-                let dir = flag_value(&mut args, "--cache-dir", "a directory");
-                cli.cache_dir = Some(PathBuf::from(dir));
-            }
-            "--shard" => {
-                let spec = flag_value(&mut args, "--shard", "an i/k value, e.g. 2/4");
-                cli.shard = Some(ShardPlan::parse(&spec).expect("--shard value parses"));
-            }
-            "--trace-dir" => {
-                let dir = flag_value(&mut args, "--trace-dir", "a directory");
-                cli.trace_dir = Some(PathBuf::from(dir));
-            }
-            "--lanes" => {
-                let lanes = flag_value(&mut args, "--lanes", "a lane count, e.g. 4");
-                cli.lanes = Some(lanes.parse().expect("--lanes value parses"));
-            }
-            "--metrics" => {
-                let path = flag_value(&mut args, "--metrics", "a file path");
-                cli.metrics = Some(PathBuf::from(path));
-            }
-            "--metrics-prom" => {
-                let path = flag_value(&mut args, "--metrics-prom", "a file path");
-                cli.metrics_prom = Some(PathBuf::from(path));
-            }
-            "--progress" => {
-                cli.progress = true;
-            }
-            "--merge" => {
-                while let Some(path) = args.peek() {
-                    if path.starts_with("--") {
-                        break;
-                    }
-                    cli.merge.push(PathBuf::from(args.next().expect("peeked")));
-                }
-                assert!(
-                    !cli.merge.is_empty(),
-                    "--merge needs at least one partial-report file"
-                );
-            }
-            _ => {}
-        }
-    }
-    assert!(
-        !(cli.is_merge()
-            && (cli.shard.is_some()
-                || cli.cache_dir.is_some()
-                || cli.trace_dir.is_some()
-                || cli.wants_observability())),
-        "--merge executes nothing and cannot be combined with --shard, --cache-dir, \
-         --trace-dir, --metrics, --metrics-prom or --progress"
-    );
-    cli
-}
-
-/// Executes `specs` honouring the batch-level flags, returning the batch to
+/// Executes `specs` honouring the batch flags, returning the batch to
 /// render — or `None` in shard mode, where the partial report has already
 /// been printed to stdout and the caller should simply exit.
 ///
@@ -692,77 +755,34 @@ fn parse_batch_cli(args: impl Iterator<Item = String>) -> BatchCli {
 /// * `--merge <file>...` — execute nothing; merge the partials instead.
 ///
 /// With `--cache-dir`, a `[cache] hits=… misses=…` line is printed to stderr
-/// after execution.
-///
-/// # Panics
-///
-/// Panics with a descriptive message when a run fails, a partial file cannot
-/// be read, or the partials do not merge — matching the fail-fast style of
-/// the bench binaries.
-pub fn run_cli(label: &str, specs: &[ScenarioSpec]) -> Option<BatchReport> {
-    run_cli_with(&batch_cli(), label, specs)
-}
-
-/// [`run_cli`] with an already-parsed [`BatchCli`] — for binaries that also
-/// need the options themselves (and must not parse the CLI twice).
-///
-/// # Panics
-///
-/// See [`run_cli`].
-pub fn run_cli_with(cli: &BatchCli, label: &str, specs: &[ScenarioSpec]) -> Option<BatchReport> {
+/// after execution. A failed run, an unreadable partial or partials that do
+/// not merge are runtime failures ([`fail`]).
+pub fn run_cli(cli: &BatchCli, label: &str, specs: &[ScenarioSpec]) -> Option<BatchReport> {
     if cli.is_merge() {
-        let partials: Vec<PartialReport> = cli
-            .merge
-            .iter()
-            .map(|path| {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read partial {}: {e}", path.display()));
-                PartialReport::from_json_str(&text)
-                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-            })
-            .collect();
-        // The partials must describe the batch *this* invocation would run,
-        // or the rendered tables would silently pose as the local
-        // configuration's results.
-        let expected = tbp_core::scenario::batch_digest(specs)
-            .expect("local specs expand to a digestible batch")
-            .to_hex();
-        if let Some(partial) = partials.iter().find(|p| p.batch != expected) {
-            panic!(
-                "partial reports were produced from a different batch than this \
-                 invocation describes (digest {} vs local {expected}); check \
-                 TBP_DURATION, TBP_SCENARIOS and the scenario files",
-                partial.batch
+        return Some(merge_partials(&cli.merge, specs));
+    }
+    let obs = MetricsOutputs::start(cli);
+    let runner = batch_runner(cli, obs.as_ref());
+    let finish = |obs: Option<MetricsOutputs>| {
+        if let Some(obs) = obs {
+            obs.finish();
+        }
+        if cli.cache_dir.is_some() {
+            let stats = runner.stats();
+            eprintln!(
+                "[cache] hits={} misses={} (simulated={} analytic={})",
+                stats.cache_hits,
+                stats.misses(),
+                stats.simulated,
+                stats.analytic
             );
         }
-        let batch = PartialReport::merge(partials)
-            .unwrap_or_else(|e| panic!("partial reports do not merge: {e}"));
-        return Some(batch);
-    }
-    let obs = LiveObs::start(cli);
-    let mut runner = Runner::new();
-    if let Some(lanes) = cli.lanes {
-        runner = runner.with_lanes(lanes);
-    }
-    if let Some(dir) = &cli.trace_dir {
-        runner = runner.with_trace_dir(dir.clone());
-    }
-    if let Some(obs) = &obs {
-        runner = runner.with_metrics(RunnerMetrics::register(&obs.registry));
-    }
-    if let Some(dir) = &cli.cache_dir {
-        let mut cache = FsCache::open(dir)
-            .unwrap_or_else(|e| panic!("cannot open cache dir {}: {e}", dir.display()));
-        if let Some(obs) = &obs {
-            cache = cache.with_metrics(CacheMetrics::register(&obs.registry));
-        }
-        runner = runner.with_cache(cache);
-    }
+    };
     if let Some(plan) = cli.shard {
         let partial = timed(label, || {
             runner
                 .run_shard(specs, plan)
-                .unwrap_or_else(|e| panic!("shard {plan} failed: {e}"))
+                .unwrap_or_else(|e| fail(format!("shard {plan} failed: {e}")))
         });
         eprintln!(
             "[shard {plan}] runs {}..{} of {}",
@@ -770,59 +790,110 @@ pub fn run_cli_with(cli: &BatchCli, label: &str, specs: &[ScenarioSpec]) -> Opti
             partial.start + partial.reports.len(),
             partial.total
         );
-        if let Some(obs) = obs {
-            obs.finish();
-        }
-        report_cache_stats(&runner, cli);
+        finish(obs);
         println!("{}", partial.to_json());
         return None;
     }
     let batch = timed(label, || {
         runner
             .run(specs)
-            .unwrap_or_else(|e| panic!("batch failed: {e}"))
+            .unwrap_or_else(|e| fail(format!("batch failed: {e}")))
     });
-    if let Some(obs) = obs {
-        obs.finish();
-    }
-    report_cache_stats(&runner, cli);
+    finish(obs);
     Some(batch)
 }
 
-/// Live observability for one batch execution: the shared metrics registry
-/// plus the background outputs requested on the CLI — a JSONL heartbeat
-/// emitter, a `[progress]` stderr ticker and a Prometheus dump on
-/// completion. Purely additive: attaching it never changes the reports.
-struct LiveObs {
+/// The [`Runner`] the batch flags describe (`--lanes`, `--trace-dir`,
+/// `--cache-dir`), with its runner and cache instruments registered on
+/// `obs`. A cache directory that cannot be opened is a runtime failure
+/// ([`fail`]).
+pub fn batch_runner(cli: &BatchCli, obs: Option<&MetricsOutputs>) -> Runner {
+    let mut runner = Runner::new();
+    if let Some(lanes) = cli.lanes {
+        runner = runner.with_lanes(lanes);
+    }
+    if let Some(dir) = &cli.trace_dir {
+        runner = runner.with_trace_dir(dir.clone());
+    }
+    if let Some(obs) = obs {
+        runner = runner.with_metrics(RunnerMetrics::register(&obs.registry));
+    }
+    if let Some(dir) = &cli.cache_dir {
+        let mut cache = FsCache::open(dir)
+            .unwrap_or_else(|e| fail(format!("cannot open cache dir {}: {e}", dir.display())));
+        if let Some(obs) = obs {
+            cache = cache.with_metrics(CacheMetrics::register(&obs.registry));
+        }
+        runner = runner.with_cache(cache);
+    }
+    runner
+}
+
+/// Merges the partial reports in `files`, which must describe the batch of
+/// `specs`, or the rendered tables would silently pose as the local
+/// configuration's results.
+fn merge_partials(files: &[PathBuf], specs: &[ScenarioSpec]) -> BatchReport {
+    let partials: Vec<PartialReport> = files
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(format!("cannot read partial {}: {e}", path.display())));
+            PartialReport::from_json_str(&text)
+                .unwrap_or_else(|e| fail(format!("{}: {e}", path.display())))
+        })
+        .collect();
+    let expected = tbp_core::scenario::batch_digest(specs)
+        .unwrap_or_else(|e| fail(format!("cannot digest the local batch: {e}")))
+        .to_hex();
+    if let Some(partial) = partials.iter().find(|p| p.batch != expected) {
+        fail(format!(
+            "partial reports were produced from a different batch than this \
+             invocation describes (digest {} vs local {expected}); check \
+             TBP_DURATION, TBP_SCENARIOS and the scenario files",
+            partial.batch
+        ));
+    }
+    PartialReport::merge(partials)
+        .unwrap_or_else(|e| fail(format!("partial reports do not merge: {e}")))
+}
+
+/// The live observability of one binary run: a metrics registry plus the
+/// outputs the batch flags ask for — the `--metrics` JSONL heartbeat, the
+/// `--metrics-prom` dump on completion and the `--progress` stderr ticker.
+/// Attaching it never changes what the binary computes.
+pub struct MetricsOutputs {
     registry: MetricsRegistry,
     started: Instant,
     emitter: Option<SnapshotEmitter>,
-    progress: Option<ProgressTicker>,
+    /// The ticker's stop channel (dropping the sender stops it) and thread.
+    progress: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
     prom_path: Option<PathBuf>,
 }
 
-struct ProgressTicker {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl LiveObs {
+impl MetricsOutputs {
     /// Interval between heartbeat lines and progress ticks.
     const INTERVAL: Duration = Duration::from_millis(500);
 
-    fn start(cli: &BatchCli) -> Option<LiveObs> {
+    /// Starts the outputs `cli` asks for, or returns `None` when it asks for
+    /// none. A metrics file that cannot be created is a runtime failure
+    /// ([`fail`]).
+    pub fn start(cli: &BatchCli) -> Option<MetricsOutputs> {
         if !cli.wants_observability() {
             return None;
         }
         let registry = MetricsRegistry::new();
         let emitter = cli.metrics.as_ref().map(|path| {
-            SnapshotEmitter::spawn(registry.clone(), path, Self::INTERVAL)
-                .unwrap_or_else(|e| panic!("cannot create metrics file {}: {e}", path.display()))
+            SnapshotEmitter::spawn(registry.clone(), path, Self::INTERVAL).unwrap_or_else(|e| {
+                fail(format!(
+                    "cannot create metrics file {}: {e}",
+                    path.display()
+                ))
+            })
         });
         let progress = cli
             .progress
             .then(|| spawn_progress(registry.clone(), Self::INTERVAL));
-        Some(LiveObs {
+        Some(MetricsOutputs {
             registry,
             started: Instant::now(),
             emitter,
@@ -831,14 +902,19 @@ impl LiveObs {
         })
     }
 
+    /// The registry to hang instruments off (e.g.
+    /// [`CoordMetrics::register`](tbp_sweepd::CoordMetrics::register)).
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
     /// Stops the background threads (each writes a final line) and dumps the
-    /// Prometheus exposition when requested.
-    fn finish(self) {
-        if let Some(progress) = self.progress {
-            progress.stop.store(true, Ordering::Relaxed);
-            if let Some(handle) = progress.handle {
-                let _ = handle.join();
-            }
+    /// Prometheus exposition when requested. Failures are reported to stderr
+    /// but not fatal — observability never sinks a finished run.
+    pub fn finish(self) {
+        if let Some((stop, handle)) = self.progress {
+            drop(stop);
+            let _ = handle.join();
         }
         if let Some(emitter) = self.emitter {
             if let Err(e) = emitter.finish() {
@@ -856,35 +932,30 @@ impl LiveObs {
 }
 
 /// Starts the `[progress]` stderr ticker: one line per interval and a final
-/// line when stopped. Steps/s is the delta of the aggregate `sim.steps`
-/// counter over the tick, covering every concurrent worker and lane.
-fn spawn_progress(registry: MetricsRegistry, interval: Duration) -> ProgressTicker {
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread_stop = Arc::clone(&stop);
+/// line once the returned sender is dropped. Steps/s is the delta of the
+/// aggregate `sim.steps` counter over the tick, covering every concurrent
+/// worker and lane.
+fn spawn_progress(
+    registry: MetricsRegistry,
+    interval: Duration,
+) -> (mpsc::Sender<()>, JoinHandle<()>) {
+    let (stop, stopped) = mpsc::channel::<()>();
     let handle = std::thread::Builder::new()
         .name("tbp-progress".into())
         .spawn(move || {
             let start = Instant::now();
-            let tick = Duration::from_millis(20);
-            let mut last_steps = 0u64;
-            let mut last_at = start;
+            let (mut last_steps, mut last_at) = (0u64, start);
             loop {
-                let deadline = Instant::now() + interval;
-                let mut stopping = false;
-                while Instant::now() < deadline {
-                    if thread_stop.load(Ordering::Relaxed) {
-                        stopping = true;
-                        break;
-                    }
-                    std::thread::sleep(tick);
-                }
+                let stopping = !matches!(
+                    stopped.recv_timeout(interval),
+                    Err(RecvTimeoutError::Timeout)
+                );
                 let snap = registry.snapshot(start.elapsed().as_secs_f64());
                 let steps = snap.counter("sim.steps").unwrap_or(0);
                 let now = Instant::now();
                 let dt = now.duration_since(last_at).as_secs_f64().max(1e-9);
                 let steps_per_s = steps.saturating_sub(last_steps) as f64 / dt;
-                last_steps = steps;
-                last_at = now;
+                (last_steps, last_at) = (steps, now);
                 eprintln!(
                     "[progress] {}/{} hits={} misses={} elapsed={:.1}s steps/s={:.0}",
                     snap.counter("runner.scenarios_completed").unwrap_or(0),
@@ -899,24 +970,8 @@ fn spawn_progress(registry: MetricsRegistry, interval: Duration) -> ProgressTick
                 }
             }
         })
-        .expect("progress thread spawns");
-    ProgressTicker {
-        stop,
-        handle: Some(handle),
-    }
-}
-
-fn report_cache_stats(runner: &Runner, cli: &BatchCli) {
-    if cli.cache_dir.is_some() {
-        let stats = runner.stats();
-        eprintln!(
-            "[cache] hits={} misses={} (simulated={} analytic={})",
-            stats.cache_hits,
-            stats.misses(),
-            stats.simulated,
-            stats.analytic
-        );
-    }
+        .unwrap_or_else(|e| fail(format!("cannot start the progress ticker: {e}")));
+    (stop, handle)
 }
 
 /// Runs a closure, printing how long it took in wall-clock time.
@@ -930,45 +985,69 @@ pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     result
 }
 
-/// The workspace's `scenarios/` directory (override with `TBP_SCENARIOS`).
-pub fn scenarios_dir() -> std::path::PathBuf {
-    match std::env::var("TBP_SCENARIOS") {
-        Ok(dir) => std::path::PathBuf::from(dir),
-        Err(_) => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios"),
+/// The workspace's `scenarios/` directory, or the one `TBP_SCENARIOS` names.
+pub fn scenarios_dir() -> PathBuf {
+    match std::env::var_os("TBP_SCENARIOS") {
+        Some(dir) => PathBuf::from(dir),
+        None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios"),
     }
 }
 
-/// Applies the `TBP_DURATION` override to a loaded scenario's measured
-/// duration.
-pub fn override_duration(
-    spec: tbp_core::scenario::ScenarioSpec,
-    duration: Seconds,
-) -> tbp_core::scenario::ScenarioSpec {
-    let warmup = spec.schedule().warmup.as_secs();
-    spec.with_schedule(warmup, duration.as_secs())
+/// The `TBP_DURATION` override of every simulated run's measured window, or
+/// `None` when the variable is unset: the one place the variable is read.
+/// Values below 1 s run 1 s; a value that is not a positive number of
+/// seconds is a usage error ([`fail_usage`]).
+fn duration_override() -> Option<Seconds> {
+    let value = std::env::var_os("TBP_DURATION")?;
+    let value = value.to_string_lossy();
+    match value.parse::<f64>() {
+        Ok(secs) if secs.is_finite() && secs > 0.0 => Some(Seconds::new(secs.max(1.0))),
+        _ => fail_usage(format!(
+            "TBP_DURATION needs a positive number of seconds, got `{value}`"
+        )),
+    }
+}
+
+/// The measured window of every simulated run of the paper batch and the
+/// workload matrix: `TBP_DURATION`, or 20 s when it is unset.
+pub fn measured_duration() -> Seconds {
+    duration_override().unwrap_or(Seconds::new(20.0))
+}
+
+/// Sets the measured window of each simulated spec to `duration`; analytic
+/// specs keep theirs.
+pub fn with_duration(specs: Vec<ScenarioSpec>, duration: Seconds) -> Vec<ScenarioSpec> {
+    specs
+        .into_iter()
+        .map(|spec| match spec.analysis {
+            Some(_) => spec,
+            None => {
+                let warmup = spec.schedule().warmup.as_secs();
+                spec.with_schedule(warmup, duration.as_secs())
+            }
+        })
+        .collect()
 }
 
 /// Loads scenario TOML files the way every batch binary does, applying the
-/// `TBP_DURATION` override to each non-analysis spec *when the variable is
-/// set* (an unset variable leaves the files' own schedules untouched).
+/// `TBP_DURATION` override to each simulated spec *when the variable is set*
+/// (an unset variable leaves the files' own schedules untouched).
 ///
 /// A file that cannot be read or parsed is a runtime failure: the process
 /// exits via [`fail`] with a one-line diagnostic naming the file.
 pub fn load_scenarios(paths: &[PathBuf]) -> Vec<ScenarioSpec> {
-    let duration = std::env::var("TBP_DURATION")
-        .ok()
-        .map(|_| measured_duration());
-    paths
+    let duration = duration_override();
+    let specs = paths
         .iter()
         .map(|path| {
-            let spec = tbp_core::scenario::load_toml_file(path)
-                .unwrap_or_else(|e| fail(format!("cannot load scenario {}: {e}", path.display())));
-            match duration {
-                Some(duration) if spec.analysis.is_none() => override_duration(spec, duration),
-                _ => spec,
-            }
+            tbp_core::scenario::load_toml_file(path)
+                .unwrap_or_else(|e| fail(format!("cannot load scenario {}: {e}", path.display())))
         })
-        .collect()
+        .collect();
+    match duration {
+        Some(duration) => with_duration(specs, duration),
+        None => specs,
+    }
 }
 
 /// Exit code for runtime failures (missing file, failed run, unreachable
@@ -982,7 +1061,7 @@ pub const EXIT_USAGE: i32 = 2;
 /// Prints a one-line `error:` diagnostic to stderr and exits with
 /// [`EXIT_FAILURE`] — the binaries' runtime-failure path (a file that does
 /// not exist, a coordinator that never answers).
-pub fn fail(msg: impl std::fmt::Display) -> ! {
+pub fn fail(msg: impl Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(EXIT_FAILURE);
 }
@@ -990,112 +1069,51 @@ pub fn fail(msg: impl std::fmt::Display) -> ! {
 /// Prints a one-line `error:` diagnostic to stderr and exits with
 /// [`EXIT_USAGE`] — the binaries' bad-invocation path (unknown flag, missing
 /// value, malformed spec).
-pub fn fail_usage(msg: impl std::fmt::Display) -> ! {
+pub fn fail_usage(msg: impl Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(EXIT_USAGE);
-}
-
-/// Converts any panic reaching the top of a binary into a one-line `error:`
-/// diagnostic and a [`EXIT_USAGE`] exit.
-///
-/// The shared flag parsers (behind [`batch_cli`] and friends) report bad
-/// invocations by panicking — convenient in tests (`#[should_panic]`), but a
-/// binary must not greet a typo with a backtrace. Binaries call this first
-/// thing in `main`; explicit runtime failures still use [`fail`] and keep
-/// exit code [`EXIT_FAILURE`].
-pub fn exit_cleanly_on_panic() {
-    std::panic::set_hook(Box::new(|info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| info.payload().downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "unexpected internal failure".to_string());
-        eprintln!("error: {msg}");
-        std::process::exit(EXIT_USAGE);
-    }));
-}
-
-/// The metrics half of the batch runner's live observability, public for
-/// binaries (the `sweep_coord` /
-/// `sweep_worker` pair) whose instrumented subject is not a [`Runner`] batch:
-/// a shared registry plus the `--metrics` JSONL heartbeat emitter and the
-/// `--metrics-prom` completion dump. Attaching it never changes what the
-/// binary computes.
-pub struct MetricsOutputs {
-    registry: MetricsRegistry,
-    started: Instant,
-    emitter: Option<SnapshotEmitter>,
-    prom_path: Option<PathBuf>,
-}
-
-impl MetricsOutputs {
-    /// Creates the registry and starts the requested background outputs:
-    /// `metrics` appends a JSONL snapshot every ~500 ms, `prom` receives a
-    /// one-shot Prometheus exposition in [`finish`](Self::finish).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when the JSONL file cannot be created.
-    pub fn start(
-        metrics: Option<&std::path::Path>,
-        prom: Option<&std::path::Path>,
-    ) -> std::io::Result<MetricsOutputs> {
-        let registry = MetricsRegistry::new();
-        let emitter = match metrics {
-            Some(path) => Some(SnapshotEmitter::spawn(
-                registry.clone(),
-                path,
-                Duration::from_millis(500),
-            )?),
-            None => None,
-        };
-        Ok(MetricsOutputs {
-            registry,
-            started: Instant::now(),
-            emitter,
-            prom_path: prom.map(|p| p.to_path_buf()),
-        })
-    }
-
-    /// The registry to hang instruments off (e.g.
-    /// [`CoordMetrics::register`](tbp_sweepd::CoordMetrics::register)).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Stops the heartbeat emitter (which writes a final line) and dumps the
-    /// Prometheus exposition when requested. Failures are reported to stderr
-    /// but not fatal — observability never sinks a finished run.
-    pub fn finish(self) {
-        if let Some(emitter) = self.emitter {
-            if let Err(e) = emitter.finish() {
-                eprintln!("[metrics] heartbeat write failed: {e}");
-            }
-        }
-        if let Some(path) = &self.prom_path {
-            let elapsed = self.started.elapsed().as_secs_f64();
-            let text = self.registry.snapshot(elapsed).to_prometheus();
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("[metrics] cannot write {}: {e}", path.display());
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The batch flags of `args`; a usage error panics with its message.
     fn parse(args: &[&str]) -> BatchCli {
-        parse_batch_cli(args.iter().map(|s| s.to_string()))
+        let args = Args::new("usage", args.iter().map(|s| s.to_string()));
+        match BatchCli::parse(args, false) {
+            Ok((cli, _files)) => cli,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     #[test]
     fn no_batch_flags_parse_to_defaults() {
         assert_eq!(parse(&[]), BatchCli::default());
-        // Unrelated flags (--json/--csv and friends) are ignored here.
-        assert_eq!(parse(&["--csv", "whatever"]), BatchCli::default());
+    }
+
+    #[test]
+    fn json_beats_csv_in_either_order() {
+        assert_eq!(parse(&["--csv"]).format, ReportFormat::Csv);
+        assert_eq!(parse(&["--json", "--csv"]).format, ReportFormat::Json);
+        assert_eq!(parse(&["--csv", "--json"]).format, ReportFormat::Json);
+    }
+
+    #[test]
+    fn files_and_unknown_flags_are_told_apart() {
+        let args = Args::new("usage: x", ["a.toml", "--csv", "b.toml"].map(String::from));
+        let (cli, files) = BatchCli::parse(args, true).expect("parses");
+        assert_eq!(files, [PathBuf::from("a.toml"), PathBuf::from("b.toml")]);
+        assert_eq!(cli.format, ReportFormat::Csv);
+        let args = Args::new("usage: x", ["--frobnicate"].map(String::from));
+        let err = BatchCli::parse(args, true).expect_err("unknown flag");
+        assert_eq!(err, "unknown flag `--frobnicate`\nusage: x");
+        let args = Args::new("usage: x", ["a.toml"].map(String::from));
+        let err = BatchCli::parse(args, false).expect_err("no files taken");
+        assert!(err.starts_with("unexpected argument `a.toml`"), "{err}");
+        let args = Args::new("usage: x", ["--csv"].map(String::from));
+        let err = BatchCli::parse(args, true).expect_err("files needed");
+        assert_eq!(err, "usage: x");
     }
 
     #[test]
@@ -1135,7 +1153,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--lanes value parses")]
+    #[should_panic(expected = "--lanes needs a lane count, got `many`: invalid digit")]
     fn lanes_rejects_a_non_numeric_value() {
         parse(&["--lanes", "many"]);
     }
@@ -1160,6 +1178,21 @@ mod tests {
     #[should_panic(expected = "--shard needs an i/k value")]
     fn shard_rejects_a_missing_value() {
         parse(&["--shard"]);
+    }
+
+    #[test]
+    fn malformed_values_are_named_with_their_display_text() {
+        let args = Args::new("usage", ["--shard", "5/4"].map(String::from));
+        let err = BatchCli::parse(args, true).expect_err("out of range");
+        assert!(err.contains("got `5/4`: ") && err.contains("shard index 5 out of range"));
+        assert!(!err.contains("Spec("), "{err}");
+        let mut args = Args::new("usage", ["0", "inf", "never"].map(String::from));
+        for value in ["0", "inf", "never"] {
+            let err = args.seconds("--timeout").expect_err("not positive");
+            assert!(err.starts_with(&format!(
+                "--timeout needs a positive duration in seconds, got `{value}`: "
+            )));
+        }
     }
 
     #[test]

@@ -3,13 +3,22 @@
 //! A binary greeting a typo with a panic backtrace (or worse, exit code 0)
 //! breaks every shell script built on top of it. The convention pinned here:
 //! usage errors exit 2, runtime failures exit 1, and every failure prints a
-//! one-line `error:` diagnostic to stderr — never an unwrap panic.
+//! one-line `error:` diagnostic to stderr — never an unwrap panic. The last
+//! test runs `workload_matrix`, which no other test drives, to completion.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+/// A command for a workspace binary with no `TBP_*` variable inherited, so a
+/// developer's shell cannot change what it does.
 fn bin(path: &str) -> Command {
-    Command::new(path)
+    let mut cmd = Command::new(path);
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("TBP_") {
+            cmd.env_remove(key);
+        }
+    }
+    cmd
 }
 
 fn scenario() -> PathBuf {
@@ -65,11 +74,41 @@ fn run_scenario_reports_a_missing_file_with_exit_1() {
 
 #[test]
 fn run_scenario_turns_shared_parser_panics_into_exit_2() {
-    // --cache-dir without a value panics inside the shared flag parser; the
-    // binary's panic hook must turn that into a clean usage failure.
+    // The name predates the one parser: a forgotten value is a usage error.
     let mut cmd = bin(env!("CARGO_BIN_EXE_run_scenario"));
     cmd.arg(scenario()).arg("--cache-dir");
     assert_clean_failure(&run(cmd), 2, "--cache-dir needs a directory");
+}
+
+#[test]
+fn run_scenario_reports_an_unopenable_cache_dir_with_exit_1() {
+    let file = TempFile::new("cache-parent", b"a regular file");
+    let mut cmd = bin(env!("CARGO_BIN_EXE_run_scenario"));
+    cmd.arg(scenario())
+        .arg("--cache-dir")
+        .arg(file.0.join("cache"));
+    assert_clean_failure(&run(cmd), 1, "cannot open cache dir");
+}
+
+#[test]
+fn run_scenario_reports_a_missing_partial_with_exit_1() {
+    let mut cmd = bin(env!("CARGO_BIN_EXE_run_scenario"));
+    cmd.arg(scenario())
+        .args(["--merge", "no/such/partial.json"]);
+    assert_clean_failure(&run(cmd), 1, "cannot read partial no/such/partial.json");
+}
+
+#[test]
+fn a_malformed_tbp_duration_is_a_usage_error() {
+    for value in ["abc", "0", "-3"] {
+        let mut cmd = bin(env!("CARGO_BIN_EXE_run_scenario"));
+        cmd.arg(scenario()).env("TBP_DURATION", value);
+        assert_clean_failure(
+            &run(cmd),
+            2,
+            &format!("TBP_DURATION needs a positive number of seconds, got `{value}`"),
+        );
+    }
 }
 
 #[test]
@@ -132,6 +171,48 @@ fn reproduce_all_reports_a_malformed_scenario_file_with_exit_1() {
     let out = run(cmd);
     let _ = std::fs::remove_dir_all(&dir);
     assert_clean_failure(&out, 1, "broken.toml");
+}
+
+#[test]
+fn reproduce_all_rejects_unknown_flags_with_exit_2() {
+    // A short window keeps a regression that ignores the flag quick.
+    let mut cmd = bin(env!("CARGO_BIN_EXE_reproduce_all"));
+    cmd.arg("--frobnicate").env("TBP_DURATION", "1");
+    assert_clean_failure(&run(cmd), 2, "unknown flag `--frobnicate`");
+}
+
+#[test]
+fn workload_matrix_rejects_unknown_flags_and_malformed_values_with_exit_2() {
+    let mut cmd = bin(env!("CARGO_BIN_EXE_workload_matrix"));
+    cmd.arg("--frobnicate").env("TBP_DURATION", "1");
+    assert_clean_failure(&run(cmd), 2, "unknown flag `--frobnicate`");
+
+    // A malformed value is named with the parser's message, not its Debug
+    // form (`ParseIntError { kind: InvalidDigit }`).
+    let mut cmd = bin(env!("CARGO_BIN_EXE_workload_matrix"));
+    cmd.args(["--lanes", "many"]).env("TBP_DURATION", "1");
+    let out = run(cmd);
+    assert_clean_failure(
+        &out,
+        2,
+        "--lanes needs a lane count, got `many`: invalid digit",
+    );
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("{ kind:"));
+}
+
+#[test]
+fn threshold_search_rejects_unknown_flags_and_a_malformed_grid_with_exit_2() {
+    let mut cmd = bin(env!("CARGO_BIN_EXE_threshold_search"));
+    cmd.arg("--frobnicate");
+    assert_clean_failure(&run(cmd), 2, "unknown flag `--frobnicate`");
+
+    let mut cmd = bin(env!("CARGO_BIN_EXE_threshold_search"));
+    cmd.args(["--grid", "x"]);
+    assert_clean_failure(
+        &run(cmd),
+        2,
+        "--grid needs positive thresholds, e.g. 1,2,3, got `x`",
+    );
 }
 
 #[test]
@@ -235,10 +316,37 @@ fn trace_tui_follows_the_exit_contract() {
     cmd.arg(&trace.0).args(["--render-once", "--width", "wide"]);
     assert_clean_failure(&run(cmd), 2, "--width needs a cell count");
 
+    // A frame allocates width × height cells, so each side is bounded.
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_tui"));
+    cmd.arg(&trace.0)
+        .args(["--render-once", "--height", "1001"]);
+    assert_clean_failure(&run(cmd), 2, "--height needs a cell count, got `1001`");
+
     let mut cmd = bin(env!("CARGO_BIN_EXE_trace_tui"));
     cmd.arg(&trace.0).arg("--frobnicate");
     assert_clean_failure(&run(cmd), 2, "unknown flag `--frobnicate`");
 
     let out = run(bin(env!("CARGO_BIN_EXE_trace_tui")));
     assert_clean_failure(&out, 2, "usage: trace_tui");
+}
+
+#[test]
+fn workload_matrix_prints_the_same_csv_at_every_lane_count() {
+    let csv = |lanes: &str| {
+        let mut cmd = bin(env!("CARGO_BIN_EXE_workload_matrix"));
+        cmd.args(["--csv", "--lanes", lanes])
+            .env("TBP_DURATION", "1");
+        let out = run(cmd);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "--lanes {lanes}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("CSV is UTF-8")
+    };
+    let solo = csv("1");
+    // A header and one row per workload family × policy.
+    assert_eq!(solo.lines().count(), 1 + 12, "{solo}");
+    assert_eq!(csv("4"), solo);
 }

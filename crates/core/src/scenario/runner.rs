@@ -686,7 +686,7 @@ fn attach_file_sink(
     let path = dir.join(trace_file_name(scenario));
     let sink = FileSink::create(&path)
         .map_err(|e| SimError::Trace(format!("create trace file {}: {e}", path.display())))?;
-    sim.attach_trace_sink(Box::new(sink), interval, selection)
+    sim.attach_trace_sink(sink, interval, selection)
 }
 
 /// The digest identifying the expanded batch of a spec list — what shard

@@ -20,7 +20,7 @@ use tbp_arch::freq::Frequency;
 use tbp_arch::platform::{MpsocPlatform, PowerSnapshot};
 use tbp_arch::units::{Celsius, Seconds};
 use tbp_obs::metrics::{Counter, MetricsRegistry};
-use tbp_obs::{TraceSink, TrackDef, TrackKind};
+use tbp_obs::{FileSink, TrackDef, TrackKind};
 use tbp_os::mpos::{Mpos, MposStepReport};
 use tbp_os::OsError;
 use tbp_streaming::pipeline::PipelineRuntime;
@@ -135,7 +135,9 @@ impl StepScratch {
 /// the track table it was registered with (base track id per selected
 /// group), and its sampling clock.
 struct ObsState {
-    sink: Box<dyn TraceSink>,
+    /// Boxed so the rarely attached sink does not grow the `Simulation`
+    /// every step walks.
+    sink: Box<FileSink>,
     interval: Seconds,
     since_last: Seconds,
     /// Base track ids per group; `None` means the group was deselected.
@@ -286,15 +288,14 @@ impl Simulation {
         self.elapsed
     }
 
-    /// Attaches an observability sink that receives typed per-subsystem
-    /// tracks (temperatures, frequencies, migration/miss counters, queue
-    /// depths, reconfiguration events) sampled every `interval`.
+    /// Attaches a trace file sink that receives typed per-subsystem tracks
+    /// (temperatures, frequencies, migration/miss counters, queue depths,
+    /// reconfiguration events) sampled every `interval`.
     ///
     /// The sink is the simulation's only trace store; the first sample is
     /// emitted on the first step after attachment. Feeding it allocates
-    /// nothing, so a steady-state step stays allocation-free even with a
-    /// file-backed sink attached (the counting-allocator test pins this
-    /// down).
+    /// nothing, so a steady-state step stays allocation-free with a sink
+    /// attached (the counting-allocator test pins this down).
     ///
     /// # Errors
     ///
@@ -303,7 +304,7 @@ impl Simulation {
     /// tracks than the format's `u16` track ids can address.
     pub fn attach_trace_sink(
         &mut self,
-        mut sink: Box<dyn TraceSink>,
+        mut sink: FileSink,
         interval: Seconds,
         selection: TrackSelection,
     ) -> Result<(), SimError> {
@@ -401,7 +402,7 @@ impl Simulation {
         base(&defs)?; // the full table must still be addressable
         sink.begin(&defs);
         self.obs = Some(ObsState {
-            sink,
+            sink: Box::new(sink),
             interval,
             // The first step after attachment emits a sample immediately.
             since_last: interval,
@@ -888,7 +889,7 @@ mod tests {
             reconfigs: true,
             ..TrackSelection::none()
         };
-        sim.attach_trace_sink(Box::new(sink), Seconds::from_millis(100.0), selection)
+        sim.attach_trace_sink(sink, Seconds::from_millis(100.0), selection)
             .expect("sink attaches");
         path
     }

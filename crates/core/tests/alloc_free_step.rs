@@ -162,7 +162,7 @@ fn steady_state_step_performs_zero_heap_allocations() {
         Workload::sdr(),
     );
     sim.attach_trace_sink(
-        Box::new(tbp_obs::FileSink::create(&path).expect("trace file creates")),
+        tbp_obs::FileSink::create(&path).expect("trace file creates"),
         Seconds::from_millis(10.0),
         tbp_core::trace::TrackSelection::all(),
     )
@@ -254,7 +254,7 @@ fn steady_state_step_performs_zero_heap_allocations() {
         .lane_mut(2)
         .expect("lane accessible")
         .attach_trace_sink(
-            Box::new(tbp_obs::FileSink::create(&lane_path).expect("trace file creates")),
+            tbp_obs::FileSink::create(&lane_path).expect("trace file creates"),
             Seconds::from_millis(10.0),
             tbp_core::trace::TrackSelection::all(),
         )

@@ -60,12 +60,8 @@ fn tailing_a_live_writer_matches_the_posthoc_read_exactly() {
     let writer = std::thread::spawn(move || {
         let mut sim = quick("live").build().expect("spec builds");
         let sink = FileSink::create(&writer_path).expect("trace file creates");
-        sim.attach_trace_sink(
-            Box::new(sink),
-            Seconds::from_millis(2.0),
-            TrackSelection::all(),
-        )
-        .expect("sink attaches");
+        sim.attach_trace_sink(sink, Seconds::from_millis(2.0), TrackSelection::all())
+            .expect("sink attaches");
         for _ in 0..20 {
             sim.run_for(Seconds::new(0.1)).expect("segment runs");
             std::thread::sleep(Duration::from_millis(10));

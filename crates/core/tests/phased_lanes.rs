@@ -83,12 +83,8 @@ fn reference(spec: &ScenarioSpec, dir: &Path) -> (SimulationSummary, Vec<u8>) {
     let mut sim = folded.build().expect("spec builds");
     let path = dir.join(format!("{}.tbptrace", spec.name));
     let sink = FileSink::create(&path).expect("trace file creates");
-    sim.attach_trace_sink(
-        Box::new(sink),
-        Seconds::from_millis(100.0),
-        TrackSelection::all(),
-    )
-    .expect("sink attaches");
+    sim.attach_trace_sink(sink, Seconds::from_millis(100.0), TrackSelection::all())
+        .expect("sink attaches");
     let phases: Vec<_> = folded
         .phases
         .iter()

@@ -52,7 +52,7 @@ fn build(spec: &ScenarioSpec) -> Simulation {
 
 fn attach_file(sim: &mut Simulation, path: &Path, interval_ms: f64, selection: TrackSelection) {
     let sink = FileSink::create(path).expect("trace file creates");
-    sim.attach_trace_sink(Box::new(sink), Seconds::from_millis(interval_ms), selection)
+    sim.attach_trace_sink(sink, Seconds::from_millis(interval_ms), selection)
         .expect("sink attaches");
 }
 
@@ -142,7 +142,7 @@ fn attach_validates_interval_and_rejects_double_attach() {
     for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
         let sink = FileSink::create(dir.path().join("bad.tbptrace")).unwrap();
         assert!(sim
-            .attach_trace_sink(Box::new(sink), Seconds::new(bad), TrackSelection::all())
+            .attach_trace_sink(sink, Seconds::new(bad), TrackSelection::all())
             .is_err());
     }
     assert!(!sim.has_trace_sink());
@@ -156,11 +156,7 @@ fn attach_validates_interval_and_rejects_double_attach() {
     assert!(sim.has_trace_sink());
     let second = FileSink::create(dir.path().join("second.tbptrace")).unwrap();
     assert!(sim
-        .attach_trace_sink(
-            Box::new(second),
-            Seconds::from_millis(100.0),
-            TrackSelection::all()
-        )
+        .attach_trace_sink(second, Seconds::from_millis(100.0), TrackSelection::all())
         .is_err());
     sim.detach_trace_sink().expect("sink finalises");
     assert!(!sim.has_trace_sink());

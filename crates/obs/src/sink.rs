@@ -1,252 +1,32 @@
-//! Streaming sink abstraction over trace consumers.
+//! The file sink the simulator feeds.
 //!
-//! A [`TraceSink`] is what the simulator feeds: it learns the track table
-//! once ([`begin`](TraceSink::begin)) and then receives counter samples and
-//! events. The hot-path methods return `()` — a sink latches failures
-//! internally and surfaces them from [`finish`](TraceSink::finish) — so the
-//! simulation step loop stays branch-light and allocation-free regardless of
-//! which sink is attached.
+//! A [`FileSink`] learns the track table once ([`begin`](FileSink::begin))
+//! and then receives counter samples and events. The record methods return
+//! `()` — the sink latches failures internally and surfaces them from
+//! [`finish`](FileSink::finish) — so the simulation step loop stays
+//! branch-light and allocation-free while a trace is recorded.
 
 use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::format::{TraceError, TraceWriter};
-use crate::track::{TraceData, Track, TrackDef};
+use crate::track::TrackDef;
 
-/// A consumer of trace records.
-pub trait TraceSink: Send {
-    /// Declares the track table. Called exactly once, before any record;
-    /// later `track` arguments are positions in `tracks`.
-    fn begin(&mut self, tracks: &[TrackDef]);
-
-    /// Records a counter sample. Must not allocate once `begin` ran.
-    fn counter(&mut self, track: u16, time_s: f64, value: f64);
-
-    /// Records a labelled event (rare; may allocate).
-    fn event(&mut self, track: u16, time_s: f64, label: &str);
-
-    /// Flushes and returns any failure latched by the record methods.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-specific; file-backed sinks surface I/O errors here.
-    fn finish(&mut self) -> Result<(), TraceError>;
-}
-
-/// A sink that discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn begin(&mut self, _tracks: &[TrackDef]) {}
-    fn counter(&mut self, _track: u16, _time_s: f64, _value: f64) {}
-    fn event(&mut self, _track: u16, _time_s: f64, _label: &str) {}
-    fn finish(&mut self) -> Result<(), TraceError> {
-        Ok(())
-    }
-}
-
-/// Per-track state of a [`MemorySink`].
-#[derive(Debug, Clone)]
-struct TrackBuf {
-    track: Track,
-    /// Accept every `stride`-th offered sample (doubled on decimation).
-    stride: u64,
-    /// Samples offered so far (accepted or not).
-    offered: u64,
-}
-
-/// An in-memory sink with optional bounded capacity per track.
+/// A sink streaming the binary trace format into a file.
 ///
-/// With a capacity set, a full counter track is decimated in place —
-/// every other sample is discarded and the acceptance stride doubles — so
-/// arbitrarily long runs keep *full-span* coverage at progressively coarser
-/// resolution instead of silently losing their tail.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    bufs: Vec<TrackBuf>,
-    /// 0 = unbounded.
-    capacity_per_track: usize,
-    decimations: u64,
-}
-
-impl MemorySink {
-    /// An unbounded in-memory sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// A sink keeping at most `capacity` samples per counter track (events
-    /// are capped at the same count, without decimation).
-    pub fn with_capacity_per_track(capacity: usize) -> Self {
-        MemorySink {
-            bufs: Vec::new(),
-            capacity_per_track: capacity,
-            decimations: 0,
-        }
-    }
-
-    /// The accumulated trace so far.
-    pub fn data(&self) -> TraceData {
-        TraceData {
-            tracks: self.bufs.iter().map(|b| b.track.clone()).collect(),
-        }
-    }
-
-    /// Consumes the sink into the accumulated trace.
-    pub fn into_data(self) -> TraceData {
-        TraceData {
-            tracks: self.bufs.into_iter().map(|b| b.track).collect(),
-        }
-    }
-
-    /// Number of keep-every-other decimation passes performed.
-    pub fn decimations(&self) -> u64 {
-        self.decimations
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn begin(&mut self, tracks: &[TrackDef]) {
-        self.bufs = tracks
-            .iter()
-            .map(|def| TrackBuf {
-                track: Track::new(def.clone()),
-                stride: 1,
-                offered: 0,
-            })
-            .collect();
-    }
-
-    fn counter(&mut self, track: u16, time_s: f64, value: f64) {
-        let cap = self.capacity_per_track;
-        let Some(buf) = self.bufs.get_mut(track as usize) else {
-            return;
-        };
-        let offered = buf.offered;
-        buf.offered += 1;
-        if offered % buf.stride != 0 {
-            return;
-        }
-        if cap > 0 && buf.track.times.len() >= cap {
-            keep_every_other(&mut buf.track.times);
-            keep_every_other(&mut buf.track.values);
-            buf.stride *= 2;
-            self.decimations += 1;
-            // The sample that triggered the decimation may now sit off the
-            // coarser grid; drop it rather than record an irregular point.
-            if offered % buf.stride != 0 {
-                return;
-            }
-        }
-        buf.track.times.push(time_s);
-        buf.track.values.push(value);
-    }
-
-    fn event(&mut self, track: u16, time_s: f64, label: &str) {
-        let cap = self.capacity_per_track;
-        let Some(buf) = self.bufs.get_mut(track as usize) else {
-            return;
-        };
-        if cap > 0 && buf.track.times.len() >= cap {
-            return;
-        }
-        buf.track.times.push(time_s);
-        buf.track.labels.push(label.to_string());
-    }
-
-    fn finish(&mut self) -> Result<(), TraceError> {
-        Ok(())
-    }
-}
-
-/// Keeps elements at even indices (0, 2, 4, …), preserving the series start.
-fn keep_every_other<T>(v: &mut Vec<T>) {
-    let mut i = 0usize;
-    v.retain(|_| {
-        let keep = i.is_multiple_of(2);
-        i += 1;
-        keep
-    });
-}
-
-/// A sink streaming the binary format into any writer.
-///
-/// The [`TraceWriter`] is constructed lazily at [`begin`](TraceSink::begin)
-/// (that is when the track table becomes known); from then on every record
-/// goes through the writer's preallocated chunk buffer without allocating.
-#[derive(Debug)]
-pub struct StreamSink<W: Write + Send> {
-    out: Option<W>,
-    writer: Option<TraceWriter<W>>,
-    error: Option<TraceError>,
-}
-
-impl<W: Write + Send> StreamSink<W> {
-    /// Creates a sink that will stream into `out`.
-    pub fn new(out: W) -> Self {
-        StreamSink {
-            out: Some(out),
-            writer: None,
-            error: None,
-        }
-    }
-
-    /// Consumes the sink and returns the underlying writer, if any (call
-    /// [`finish`](TraceSink::finish) first to flush).
-    pub fn into_inner(mut self) -> Option<W> {
-        self.writer
-            .take()
-            .map(TraceWriter::into_inner)
-            .or_else(|| self.out.take())
-    }
-}
-
-impl<W: Write + Send> TraceSink for StreamSink<W> {
-    fn begin(&mut self, tracks: &[TrackDef]) {
-        let Some(out) = self.out.take() else {
-            return;
-        };
-        match TraceWriter::new(out, tracks) {
-            Ok(writer) => self.writer = Some(writer),
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    fn counter(&mut self, track: u16, time_s: f64, value: f64) {
-        if let Some(writer) = &mut self.writer {
-            writer.counter(track, time_s, value);
-        }
-    }
-
-    fn event(&mut self, track: u16, time_s: f64, label: &str) {
-        if let Some(writer) = &mut self.writer {
-            writer.event(track, time_s, label);
-        }
-    }
-
-    fn finish(&mut self) -> Result<(), TraceError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        match &mut self.writer {
-            Some(writer) => writer.finish(),
-            None => Ok(()),
-        }
-    }
-}
-
-/// A file-backed [`StreamSink`].
-///
-/// The file is created eagerly (so configuration errors fail fast) and the
-/// trace is finalised on [`finish`](TraceSink::finish); dropping an
-/// unfinished sink finalises best-effort so an early-exiting caller still
-/// leaves a complete, readable trace behind when the writes succeed.
+/// The file is created eagerly (so configuration errors fail fast); the
+/// [`TraceWriter`] is constructed at [`begin`](Self::begin), when the track
+/// table becomes known, and from then on every record goes through the
+/// writer's preallocated chunk buffer without allocating. The trace is
+/// finalised on [`finish`](Self::finish); dropping an unfinished sink
+/// finalises best-effort so an early-exiting caller still leaves a complete,
+/// readable trace behind when the writes succeed.
 #[derive(Debug)]
 pub struct FileSink {
     path: PathBuf,
-    inner: StreamSink<File>,
+    file: Option<File>,
+    writer: Option<TraceWriter<File>>,
+    error: Option<TraceError>,
     finished: bool,
 }
 
@@ -261,7 +41,9 @@ impl FileSink {
         let file = File::create(&path)?;
         Ok(FileSink {
             path,
-            inner: StreamSink::new(file),
+            file: Some(file),
+            writer: None,
+            error: None,
             finished: false,
         })
     }
@@ -270,31 +52,56 @@ impl FileSink {
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
 
-impl TraceSink for FileSink {
-    fn begin(&mut self, tracks: &[TrackDef]) {
-        self.inner.begin(tracks);
+    /// Declares the track table and writes the header. Called once, before
+    /// any record; later `track` arguments are positions in `tracks`.
+    pub fn begin(&mut self, tracks: &[TrackDef]) {
+        let Some(file) = self.file.take() else {
+            return;
+        };
+        match TraceWriter::new(file, tracks) {
+            Ok(writer) => self.writer = Some(writer),
+            Err(e) => self.error = Some(e),
+        }
     }
 
-    fn counter(&mut self, track: u16, time_s: f64, value: f64) {
-        self.inner.counter(track, time_s, value);
+    /// Records a counter sample. Allocates nothing once `begin` ran; a
+    /// sample before `begin` is ignored.
+    pub fn counter(&mut self, track: u16, time_s: f64, value: f64) {
+        if let Some(writer) = &mut self.writer {
+            writer.counter(track, time_s, value);
+        }
     }
 
-    fn event(&mut self, track: u16, time_s: f64, label: &str) {
-        self.inner.event(track, time_s, label);
+    /// Records a labelled event (rare; may allocate).
+    pub fn event(&mut self, track: u16, time_s: f64, label: &str) {
+        if let Some(writer) = &mut self.writer {
+            writer.event(track, time_s, label);
+        }
     }
 
-    fn finish(&mut self) -> Result<(), TraceError> {
+    /// Flushes, writes the end chunk and returns any failure latched by the
+    /// record methods.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`TraceError`] of a failed header, write or flush.
+    pub fn finish(&mut self) -> Result<(), TraceError> {
         self.finished = true;
-        self.inner.finish()
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        match &mut self.writer {
+            Some(writer) => writer.finish(),
+            None => Ok(()),
+        }
     }
 }
 
 impl Drop for FileSink {
     fn drop(&mut self) {
         if !self.finished {
-            let _ = self.inner.finish();
+            let _ = self.finish();
         }
     }
 }
@@ -312,87 +119,38 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut sink = NullSink;
-        sink.begin(&defs());
-        sink.counter(0, 0.0, 1.0);
-        sink.event(1, 0.0, "x");
-        assert!(sink.finish().is_ok());
-    }
-
-    #[test]
-    fn memory_sink_accumulates() {
-        let mut sink = MemorySink::new();
-        sink.begin(&defs());
-        sink.counter(0, 0.0, 40.0);
-        sink.counter(0, 0.1, 41.0);
-        sink.counter(9, 0.1, 99.0); // unknown track: ignored
-        sink.event(1, 0.05, "threshold=2");
-        assert!(sink.finish().is_ok());
-        let data = sink.into_data();
-        assert_eq!(data.tracks[0].values, [40.0, 41.0]);
-        assert_eq!(data.tracks[1].labels, ["threshold=2"]);
-    }
-
-    #[test]
-    fn memory_sink_decimates_instead_of_dropping_the_tail() {
-        let mut sink = MemorySink::with_capacity_per_track(8);
-        sink.begin(&[TrackDef::counter(TrackKind::QueueDepth, 0, 1.0, "q0")]);
-        for i in 0..64 {
-            sink.counter(0, i as f64, i as f64);
-        }
-        let data = sink.data();
-        let track = &data.tracks[0];
-        // Bounded, decimated, but covering the full span: the first sample
-        // is t=0 and the last kept sample is near the end of the run.
-        assert!(track.len() <= 8, "len {} exceeds capacity", track.len());
-        assert!(sink.decimations() >= 3);
-        assert_eq!(track.times[0], 0.0);
-        assert!(*track.times.last().unwrap() >= 48.0);
-        // The kept grid is uniform: consecutive spacing is constant.
-        let d0 = track.times[1] - track.times[0];
-        for w in track.times.windows(2) {
-            assert_eq!(w[1] - w[0], d0);
-        }
-    }
-
-    #[test]
-    fn stream_sink_produces_a_readable_trace() {
-        let mut sink = StreamSink::new(Vec::new());
-        sink.begin(&defs());
-        sink.counter(0, 0.0, 39.5);
-        sink.event(1, 0.2, "policy=mig");
-        sink.finish().unwrap();
-        let bytes = sink.into_inner().unwrap();
-        let data = TraceReader::read(&bytes).unwrap();
-        assert_eq!(data.total_records(), 2);
-        assert_eq!(data.tracks[1].labels, ["policy=mig"]);
-    }
-
-    #[test]
-    fn stream_sink_without_begin_finishes_cleanly() {
-        let mut sink = StreamSink::new(Vec::new());
-        sink.counter(0, 0.0, 1.0); // before begin: ignored
-        assert!(sink.finish().is_ok());
-        // No magic was ever written.
-        assert_eq!(sink.into_inner().unwrap().len(), 0);
+    fn temp_path(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("tbp-obs-sink-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{tag}-{}.tbptrace", std::process::id()))
     }
 
     #[test]
     fn file_sink_writes_and_finalises_on_drop() {
-        let dir = std::env::temp_dir().join("tbp-obs-sink-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("drop.tbptrace");
+        let path = temp_path("drop");
         {
             let mut sink = FileSink::create(&path).unwrap();
             assert_eq!(sink.path(), path.as_path());
             sink.begin(&defs());
             sink.counter(0, 0.0, 42.0);
+            sink.event(1, 0.2, "policy=mig");
             // Dropped without finish: the Drop impl finalises the file.
         }
         let data = TraceReader::read_file(&path).unwrap();
         assert_eq!(data.tracks[0].values, [42.0]);
+        assert_eq!(data.tracks[1].labels, ["policy=mig"]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_sink_without_begin_finishes_cleanly() {
+        let path = temp_path("no-begin");
+        let mut sink = FileSink::create(&path).unwrap();
+        sink.counter(0, 0.0, 1.0); // before begin: ignored
+        assert!(sink.finish().is_ok());
+        drop(sink);
+        // No magic was ever written.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         std::fs::remove_file(&path).unwrap();
     }
 }
