@@ -82,14 +82,14 @@ impl Default for PlatformConfig {
 /// Per-block power produced by one platform step, aligned with the
 /// floorplan's block order.
 ///
-/// Block names are copies of the platform's interned block table (built once
-/// at platform construction); the snapshot can be reused across steps via
-/// [`MpsocPlatform::power_snapshot_into`], which rewrites the power vector in
-/// place and refreshes the names with capacity-reusing `clone_from`s, so the
-/// steady-state co-simulation step allocates nothing here.
+/// The snapshot holds only the watts: the block names are the platform's
+/// interned [`block_table`](MpsocPlatform::block_table), and
+/// [`MpsocPlatform::block_power`] looks a block up by name. The snapshot can
+/// be reused across steps via [`MpsocPlatform::power_snapshot_into`], which
+/// rewrites the power vector in place, so the steady-state co-simulation step
+/// allocates nothing here.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PowerSnapshot {
-    block_names: Vec<String>,
     watts: Vec<Watts>,
 }
 
@@ -103,19 +103,6 @@ impl PowerSnapshot {
     /// Power of each block, in floorplan order.
     pub fn per_block(&self) -> &[Watts] {
         &self.watts
-    }
-
-    /// Block names, in floorplan order.
-    pub fn block_names(&self) -> &[String] {
-        &self.block_names
-    }
-
-    /// Power of the named block, if present.
-    pub fn block(&self, name: &str) -> Option<Watts> {
-        self.block_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.watts[i])
     }
 
     /// Total chip power.
@@ -139,8 +126,7 @@ pub struct MpsocPlatform {
     bus: Bus,
     elapsed: Seconds,
     /// Interned block-name table, in floorplan order. Built once at
-    /// construction so per-step power snapshots never re-clone names out of
-    /// the floorplan.
+    /// construction; power snapshots index into the same order.
     block_names: Vec<String>,
 }
 
@@ -304,6 +290,13 @@ impl MpsocPlatform {
         &self.block_names
     }
 
+    /// Power of the named block in `snapshot`, looked up in the
+    /// [`block_table`](Self::block_table); `None` for an unknown name.
+    pub fn block_power(&self, snapshot: &PowerSnapshot, name: &str) -> Option<Watts> {
+        let index = self.block_names.iter().position(|n| n == name)?;
+        snapshot.per_block().get(index).copied()
+    }
+
     /// Produces the per-block power snapshot given each block's current
     /// temperature (floorplan order). Leakage is evaluated at the block's own
     /// temperature, closing the electro-thermal loop.
@@ -317,10 +310,9 @@ impl MpsocPlatform {
     }
 
     /// Allocation-free form of [`power_snapshot_at`](Self::power_snapshot_at):
-    /// rewrites `out` in place. The power vector is refilled index by index
-    /// and the block names are refreshed with capacity-reusing `clone_from`s
-    /// against the interned block table, so once `out` has been filled for a
-    /// platform of this shape the call performs no heap allocations.
+    /// rewrites `out` in place. The power vector is refilled index by index,
+    /// so once `out` has been filled for a platform of this shape the call
+    /// performs no heap allocations.
     pub fn power_snapshot_into(&self, block_temperatures: &[Celsius], out: &mut PowerSnapshot) {
         let model = &self.config.power;
         let bus_util = self.bus_utilization_estimate();
@@ -333,7 +325,6 @@ impl MpsocPlatform {
         let mut cached_core = usize::MAX;
         let mut core_scales = uncore_scales;
         let mut core_util = 0.0;
-        out.block_names.clone_from(&self.block_names);
         out.watts.clear();
         for (i, block) in self.floorplan.blocks().iter().enumerate() {
             let t = block_temperatures
@@ -440,6 +431,12 @@ mod tests {
     use super::*;
     use crate::freq::Frequency;
 
+    /// Power of block `core0` at a uniform die temperature.
+    fn core0_watts(platform: &MpsocPlatform, temperature_celsius: f64) -> f64 {
+        let snap = platform.power_snapshot(temperature_celsius);
+        platform.block_power(&snap, "core0").unwrap().as_watts()
+    }
+
     #[test]
     fn paper_platform_has_three_cores() {
         let platform = MpsocPlatform::new(PlatformConfig::paper_default()).unwrap();
@@ -478,15 +475,21 @@ mod tests {
         }
         let snap = platform.power_snapshot(60.0);
         assert_eq!(snap.per_block().len(), 14);
-        assert_eq!(snap.block_names().len(), 14);
+        assert_eq!(platform.block_table().len(), 14);
         assert!(snap.total() > 0.0);
-        assert!(snap.block("core0").is_some());
-        assert!(snap.block("shared_mem").is_some());
-        assert!(snap.block("nope").is_none());
+        let block = |name| platform.block_power(&snap, name);
+        assert!(block("core0").is_some());
+        assert!(block("shared_mem").is_some());
+        assert!(block("nope").is_none());
         // Core blocks dominate the budget.
-        let core_power = snap.block("core0").unwrap().as_watts();
-        let icache_power = snap.block("core0.icache").unwrap().as_watts();
+        let core_power = block("core0").unwrap().as_watts();
+        let icache_power = block("core0.icache").unwrap().as_watts();
         assert!(core_power > icache_power);
+        // The table names each block in floorplan order.
+        for (i, name) in platform.block_table().iter().enumerate() {
+            assert_eq!(platform.floorplan().index_of(name), Ok(i));
+            assert_eq!(block(name), Some(snap.per_block()[i]));
+        }
     }
 
     #[test]
@@ -509,7 +512,6 @@ mod tests {
             .unwrap();
         platform.power_snapshot_into(&temps, &mut reused);
         assert_eq!(platform.power_snapshot_at(&temps), reused);
-        assert_eq!(reused.block_names(), platform.block_table());
     }
 
     #[test]
@@ -526,7 +528,8 @@ mod tests {
             .set_utilization(0.1)
             .unwrap();
         let snap = platform.power_snapshot(60.0);
-        assert!(snap.block("core0").unwrap().as_watts() > snap.block("core1").unwrap().as_watts());
+        let core = |name| platform.block_power(&snap, name).unwrap().as_watts();
+        assert!(core("core0") > core("core1"));
     }
 
     #[test]
@@ -535,21 +538,13 @@ mod tests {
         for id in platform.core_ids() {
             platform.core_mut(id).unwrap().set_utilization(0.8).unwrap();
         }
-        let fast = platform
-            .power_snapshot(60.0)
-            .block("core0")
-            .unwrap()
-            .as_watts();
+        let fast = core0_watts(&platform, 60.0);
         platform
             .core_mut(CoreId(0))
             .unwrap()
             .set_frequency(Frequency::from_mhz(266.0))
             .unwrap();
-        let slow = platform
-            .power_snapshot(60.0)
-            .block("core0")
-            .unwrap()
-            .as_watts();
+        let slow = core0_watts(&platform, 60.0);
         assert!(slow < fast);
     }
 
@@ -561,16 +556,8 @@ mod tests {
             .unwrap()
             .set_utilization(0.5)
             .unwrap();
-        let cool = platform
-            .power_snapshot(45.0)
-            .block("core0")
-            .unwrap()
-            .as_watts();
-        let hot = platform
-            .power_snapshot(95.0)
-            .block("core0")
-            .unwrap()
-            .as_watts();
+        let cool = core0_watts(&platform, 45.0);
+        let hot = core0_watts(&platform, 95.0);
         assert!(hot > cool);
     }
 

@@ -89,11 +89,12 @@ fn bench_lane_batch(c: &mut Criterion) {
 }
 
 /// Raw thermal lane kernel (no OS/streaming/policy around it): the SIMD
-/// gather kernel in isolation, where lane scaling is cleanest.
+/// gather kernel in isolation, where lane scaling is cleanest. The 32-core
+/// 50 ms case is the shape of perfbench's `manycore_lanes` workload.
 fn bench_lane_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_kernel");
-    let dt = Seconds::from_millis(20.0);
-    for cores in [3usize, 16] {
+    for (cores, step_ms) in [(3usize, 20.0), (16, 20.0), (32, 50.0)] {
+        let dt = Seconds::from_millis(step_ms);
         let fp = tbp_arch::floorplan::Floorplan::homogeneous_tiles(cores).expect("floorplan");
         let power = vec![Watts::new(0.4); fp.len()];
         for lanes in [1usize, 8] {
@@ -113,7 +114,7 @@ fn bench_lane_kernel(c: &mut Criterion) {
                 kernel.set_block_powers(lane, &power).expect("powers set");
             }
             group.bench_function(
-                format!("rk4_20ms_{cores}c_lanes{lanes}_x{STEPS_PER_ITER}"),
+                format!("rk4_{step_ms}ms_{cores}c_lanes{lanes}_x{STEPS_PER_ITER}"),
                 |b| {
                     b.iter(|| {
                         for _ in 0..STEPS_PER_ITER {

@@ -31,15 +31,19 @@
 //! failure (exit code 1) rather than a hung terminal.
 //!
 //! Like the other binaries, a bad invocation (unknown flag or export format,
-//! missing value) exits 2 and a runtime failure (unreadable or corrupt
-//! trace) exits 1, each with one `error:` line on stderr.
+//! missing value, a `--window` too short to advance the trace's time stamps
+//! or splitting it into more than [`MAX_WINDOWS`] windows) exits 2 and a
+//! runtime failure (unreadable or corrupt trace) exits 1, each with one
+//! `error:` line on stderr.
+//!
+//! [`MAX_WINDOWS`]: tbp_obs::stats::MAX_WINDOWS
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use tbp_bench::{fail, fail_usage, Args};
 use tbp_obs::export::{to_csv, to_perfetto_json};
-use tbp_obs::stats::{series_stats, sparkline, windowed_stats, WindowStat};
+use tbp_obs::stats::{series_stats, sparkline, windowed_stats, WindowError, WindowStat};
 use tbp_obs::{TraceData, TraceReader, TraceTailer};
 
 const USAGE: &str = "usage: trace_explore <file.tbptrace> [--window <s>] \
@@ -154,7 +158,7 @@ fn follow(path: &Path, window: f64, stall_timeout: Option<Duration>) {
         let progress = tailer
             .poll()
             .unwrap_or_else(|e| fail(format!("cannot tail {}: {e}", path.display())));
-        let windows = windowed_stats(tailer.data(), window);
+        let windows = windowed_stats(tailer.data(), window).unwrap_or_else(|e| window_refused(e));
         // While the writer is running, the final window is still filling (it
         // would stretch as samples land), so only completed windows print;
         // the end chunk flushes the rest including the final partial window.
@@ -248,13 +252,20 @@ fn print_windowed(data: &TraceData, window: f64) {
         println!("empty trace");
         return;
     }
+    let windows = windowed_stats(data, window).unwrap_or_else(|e| window_refused(e));
     println!(
         "{:>9} {:>9} {:>12} {:>14}",
         "from_s", "to_s", "sigma_c", "migrations_per_s"
     );
-    for stat in windowed_stats(data, window) {
-        print_window_row(&stat);
+    for stat in &windows {
+        print_window_row(stat);
     }
+}
+
+/// A `--window` too short for the trace is a bad invocation, like a
+/// malformed one: exit 2.
+fn window_refused(e: WindowError) -> ! {
+    fail_usage(format!("--window: {e}"))
 }
 
 fn print_window_row(stat: &WindowStat) {

@@ -295,6 +295,36 @@ fn trace_explore_rejects_unknown_export_formats_and_flags_with_exit_2() {
     }
 }
 
+/// A window that cannot advance the trace's time stamps, or that would split
+/// it into more than `MAX_WINDOWS` windows, is a usage error, post hoc and
+/// while tailing. Before the bound, `--window 1e-300` grew a vector until
+/// allocation failed.
+#[test]
+fn trace_explore_refuses_windows_it_cannot_step_with_exit_2() {
+    let trace = TempFile::new("explore-window", &valid_trace());
+    for follow in [false, true] {
+        for (window, needle) in [
+            (
+                "1e-300",
+                "--window: a window of 1e-300 s cannot advance time",
+            ),
+            ("1e-9", "into more than 1000000 windows"),
+        ] {
+            let mut cmd = bin(env!("CARGO_BIN_EXE_trace_explore"));
+            cmd.arg(&trace.0).args(["--window", window]);
+            if follow {
+                cmd.arg("--follow");
+            }
+            assert_clean_failure(&run(cmd), 2, needle);
+        }
+    }
+    let mut cmd = bin(env!("CARGO_BIN_EXE_trace_explore"));
+    cmd.arg(&trace.0).args(["--window", "0.05"]);
+    let out = run(cmd);
+    assert_eq!(out.status.code(), Some(0), "--window 0.05");
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 3);
+}
+
 #[test]
 fn trace_tui_follows_the_exit_contract() {
     let mut cmd = bin(env!("CARGO_BIN_EXE_trace_tui"));

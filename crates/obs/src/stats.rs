@@ -28,6 +28,49 @@ pub struct WindowStat {
     pub migrations_per_s: f64,
 }
 
+/// Most windows [`windowed_stats`] splits a trace into: the trace's span
+/// divided by the window length may not exceed it.
+pub const MAX_WINDOWS: usize = 1_000_000;
+
+/// A window length [`windowed_stats`] refuses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WindowError {
+    /// The window is not positive, or is shorter than the spacing of
+    /// doubles at the trace's largest time stamp, so adding it to a window
+    /// start could leave the start where it was.
+    CannotAdvance {
+        /// The refused window length, seconds.
+        window_s: f64,
+        /// The time stamp of largest magnitude in the trace, seconds.
+        at_s: f64,
+    },
+    /// The span divided by the window exceeds [`MAX_WINDOWS`].
+    TooManyWindows {
+        /// The refused window length, seconds.
+        window_s: f64,
+        /// The trace's span, seconds.
+        span_s: f64,
+    },
+}
+
+impl std::fmt::Display for WindowError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WindowError::CannotAdvance { window_s, at_s } => write!(
+                f,
+                "a window of {window_s:e} s cannot advance time at {at_s} s"
+            ),
+            WindowError::TooManyWindows { window_s, span_s } => write!(
+                f,
+                "a window of {window_s:e} s splits the {span_s} s trace into more than \
+                 {MAX_WINDOWS} windows"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for WindowError {}
+
 /// Aggregates `data` into fixed `window_s`-second windows.
 ///
 /// Returns an empty vector for an empty trace. The sample grid is the
@@ -36,12 +79,35 @@ pub struct WindowStat {
 /// window stores the mean of those σ values. Migration rate is the delta of
 /// the cumulative migrations track across the window divided by its
 /// duration.
-pub fn windowed_stats(data: &TraceData, window_s: f64) -> Vec<WindowStat> {
+///
+/// # Errors
+///
+/// Returns [`WindowError::CannotAdvance`] for a window that is not positive
+/// or too short to move the trace's time stamps (checked before the trace is
+/// looked at, then against its largest time stamp), and
+/// [`WindowError::TooManyWindows`] when the span divided by the window
+/// exceeds [`MAX_WINDOWS`].
+pub fn windowed_stats(data: &TraceData, window_s: f64) -> Result<Vec<WindowStat>, WindowError> {
+    let cannot_advance = |at_s: f64| WindowError::CannotAdvance { window_s, at_s };
+    if window_s.is_nan() || window_s <= 0.0 {
+        return Err(cannot_advance(0.0));
+    }
     let temps: Vec<&Track> = data.tracks_of(TrackKind::CoreTemperature).collect();
     let migrations = data.track(TrackKind::Migrations, 0);
     let Some((start, end)) = data.span() else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
+    // Doubles are spaced widest at the largest magnitude, so a window at
+    // least that spacing moves every window start in the trace.
+    let largest = start.abs().max(end.abs());
+    let spacing = f64::from_bits(largest.to_bits() + 1) - largest;
+    if spacing.is_nan() || window_s < spacing {
+        return Err(cannot_advance(largest));
+    }
+    let span_s = end - start;
+    if span_s / window_s > MAX_WINDOWS as f64 {
+        return Err(WindowError::TooManyWindows { window_s, span_s });
+    }
     let grid: &[f64] = temps
         .iter()
         .max_by_key(|t| t.len())
@@ -53,7 +119,9 @@ pub fn windowed_stats(data: &TraceData, window_s: f64) -> Vec<WindowStat> {
         let to = (at + window_s).min(end);
         let mut sigma_sum = 0.0;
         let mut sigma_n = 0u64;
-        for &t in grid.iter().filter(|&&t| t >= at && t < to) {
+        // The grid is in time order, so the window's instants are one run.
+        let in_window = grid.partition_point(|&t| t < at)..grid.partition_point(|&t| t < to);
+        for &t in &grid[in_window] {
             let values: Vec<f64> = temps
                 .iter()
                 .filter_map(|track| track.value_at_or_before(t))
@@ -84,7 +152,7 @@ pub fn windowed_stats(data: &TraceData, window_s: f64) -> Vec<WindowStat> {
         });
         at = to;
     }
-    windows
+    Ok(windows)
 }
 
 /// `(min, mean, max)` of a series; zeros for an empty one.
@@ -156,7 +224,7 @@ mod tests {
     #[test]
     fn windows_cover_the_span_with_constant_sigma() {
         let data = two_core_trace();
-        let windows = windowed_stats(&data, 1.0);
+        let windows = windowed_stats(&data, 1.0).unwrap();
         assert_eq!(windows.len(), 4);
         assert_eq!(windows[0].from_s, 0.0);
         assert!((windows.last().unwrap().to_s - 3.9).abs() < 1e-9);
@@ -170,13 +238,13 @@ mod tests {
         // Recomputing over a longer trace must not move windows a live view
         // already printed — the anchor is the first sample instant.
         let data = two_core_trace();
-        let full = windowed_stats(&data, 1.0);
+        let full = windowed_stats(&data, 1.0).unwrap();
         let mut truncated = data.clone();
         for track in &mut truncated.tracks {
             track.times.truncate(25);
             track.values.truncate(25);
         }
-        let partial = windowed_stats(&truncated, 1.0);
+        let partial = windowed_stats(&truncated, 1.0).unwrap();
         assert_eq!(&full[..2], &partial[..2]);
     }
 
@@ -186,7 +254,46 @@ mod tests {
         let mut w = TraceWriter::new(Vec::new(), &defs).unwrap();
         w.finish().unwrap();
         let data = TraceReader::read(&w.into_inner()).unwrap();
-        assert!(windowed_stats(&data, 1.0).is_empty());
+        assert!(windowed_stats(&data, 1.0).unwrap().is_empty());
+        // A window that could never advance is refused even before there
+        // is a sample to look at.
+        for window in [0.0, -1.0, f64::NAN] {
+            assert!(matches!(
+                windowed_stats(&data, window),
+                Err(WindowError::CannotAdvance { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn windows_that_cannot_advance_or_are_too_many_are_refused() {
+        let data = two_core_trace();
+        let (start, end) = data.span().unwrap();
+        // Below one ulp of the ~3.9 s end, `at + window == at`: an unchecked
+        // loop would never end and would grow its vector until allocation
+        // failed.
+        let err = windowed_stats(&data, 1e-300).unwrap_err();
+        assert_eq!(
+            err,
+            WindowError::CannotAdvance {
+                window_s: 1e-300,
+                at_s: end
+            }
+        );
+        assert!(err.to_string().contains("cannot advance time"), "{err}");
+        // One ulp of the end advances every start, but makes ~1e16 windows.
+        let ulp = f64::from_bits(end.to_bits() + 1) - end;
+        let err = windowed_stats(&data, ulp).unwrap_err();
+        assert!(matches!(err, WindowError::TooManyWindows { .. }), "{err}");
+        assert!(
+            err.to_string().contains("more than 1000000 windows"),
+            "{err}"
+        );
+        // Just over the cap is refused; a fine window under it is not.
+        let cap_window = (end - start) / MAX_WINDOWS as f64;
+        assert!(windowed_stats(&data, cap_window * 0.99).is_err());
+        let fine = windowed_stats(&data, 1e-3).unwrap().len();
+        assert!((3900..=3901).contains(&fine), "{fine} windows");
     }
 
     #[test]

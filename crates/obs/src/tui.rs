@@ -466,7 +466,6 @@ impl Explorer {
     }
 
     fn render_windows(&self, frame: &mut Frame, x: usize, top: usize, bottom: usize) {
-        let windows = windowed_stats(&self.data, self.window_s);
         frame.put_str(
             x,
             top,
@@ -475,6 +474,15 @@ impl Explorer {
                 "from_s", "to_s", "sigma_c", "migrations_per_s"
             ),
         );
+        // The window is clamped to 0.125 s or more, so only a trace spanning
+        // more than `MAX_WINDOWS` such windows is refused.
+        let windows = match windowed_stats(&self.data, self.window_s) {
+            Ok(windows) => windows,
+            Err(e) => {
+                frame.put_str(x, top + 1, &format!("({e})"));
+                return;
+            }
+        };
         let rows = bottom.saturating_sub(top + 1);
         let skip = windows.len().saturating_sub(rows);
         for (i, w) in windows.iter().skip(skip).take(rows).enumerate() {

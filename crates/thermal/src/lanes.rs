@@ -36,7 +36,9 @@
 //! * the stage arithmetic copies the expression shapes of the scalar RK4.
 //!
 //! The differential suite in `crates/core/tests/lane_equivalence.rs` pins
-//! this property end-to-end on every supported SIMD level.
+//! this property end-to-end at the detected SIMD level; this module's tests
+//! run every level the host supports, and
+//! `crates/thermal/tests/manycore_identity.rs` the 32-core RK4 shape.
 
 use crate::error::ThermalError;
 use crate::model::ThermalModel;
@@ -435,8 +437,11 @@ impl ThermalLaneKernel {
             *stage = t + dt * k;
         }
         deriv(&ws.stage, &mut ws.k4);
-        for (i, temp) in self.temps.iter_mut().enumerate() {
-            *temp = ws.t0[i] + dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
+        // Zipped, not indexed: indexing five slices puts a bounds check on
+        // every element and keeps the loop from vectorizing.
+        let ks = ws.k1.iter().zip(&ws.k2).zip(ws.k3.iter().zip(&ws.k4));
+        for ((temp, &t), ((&k1, &k2), (&k3, &k4))) in self.temps.iter_mut().zip(&ws.t0).zip(ks) {
+            *temp = t + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
         }
     }
 }
@@ -860,32 +865,55 @@ mod tests {
             .is_err());
     }
 
-    /// Lane counts that exercise every dispatch path: the 512-bit kernel
-    /// (8, 16), the 256-bit kernel (4), the monomorphized element loops
-    /// (1, 2), and the dynamic fallback (3, 5).
+    /// Lane counts that, run at every SIMD level, reach every dispatch path:
+    /// at the AVX-512 level the 512-bit kernel (8, 16) and the 256-bit one
+    /// (4); at the AVX2 level the 256-bit kernel (4, 8, 16); at the portable
+    /// level the monomorphized element loops (1, 2, 4, 8, 16); and at every
+    /// level the dynamic fallback (3, 5).
     const LANE_COUNTS: [usize; 7] = [1, 2, 3, 4, 5, 8, 16];
+
+    /// Every SIMD level this host can run, the portable one first.
+    #[cfg(target_arch = "x86_64")]
+    fn supported_simd_levels() -> Vec<SimdLevel> {
+        let mut levels = vec![SimdLevel::Scalar];
+        if std::arch::is_x86_feature_detected!("avx2") {
+            levels.push(SimdLevel::Avx2);
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            levels.push(SimdLevel::Avx512);
+        }
+        levels
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn supported_simd_levels() -> Vec<SimdLevel> {
+        vec![SimdLevel::Scalar]
+    }
 
     /// The load-bearing property: each lane of the batched kernel produces
     /// *bit-identical* temperatures to a scalar [`ThermalModel::step`] run of
     /// the same model, for both solvers, heterogeneous lane powers, and
-    /// every SIMD dispatch path reachable on this machine.
+    /// every SIMD level the host supports, not only the detected one.
     #[test]
     fn lanes_match_scalar_models_bit_for_bit() {
         for kind in [SolverKind::ForwardEuler, SolverKind::RungeKutta4] {
             for package in [Package::mobile_embedded(), Package::high_performance()] {
-                for lanes in LANE_COUNTS {
-                    lanes_match_scalar_case(kind, package.clone(), lanes);
+                for simd in supported_simd_levels() {
+                    for lanes in LANE_COUNTS {
+                        lanes_match_scalar_case(kind, package.clone(), lanes, simd);
+                    }
                 }
             }
         }
     }
 
-    fn lanes_match_scalar_case(kind: SolverKind, package: Package, lanes: usize) {
+    fn lanes_match_scalar_case(kind: SolverKind, package: Package, lanes: usize, simd: SimdLevel) {
         let reference = model(package, kind);
         let mut scalar: Vec<ThermalModel> = (0..lanes).map(|_| reference.clone()).collect();
         let mut batched = scalar.clone();
         let mut kernel =
             ThermalLaneKernel::from_models(&batched.iter().collect::<Vec<_>>()).unwrap();
+        kernel.simd = simd;
         let dt = Seconds::from_millis(5.0);
         for step in 0..200 {
             for (lane, (s, b)) in scalar.iter_mut().zip(&mut batched).enumerate() {
@@ -911,7 +939,7 @@ mod tests {
                 assert_eq!(
                     ts.to_bits(),
                     tb.to_bits(),
-                    "{kind:?} {lanes} lanes, lane {lane} node {node}: \
+                    "{kind:?} {lanes} lanes at {simd:?}, lane {lane} node {node}: \
                      scalar {ts} vs batched {tb}"
                 );
             }

@@ -466,7 +466,6 @@ impl RcNetwork {
     /// network size. The stage arithmetic matches [`rk4_step`](Self::rk4_step)
     /// operation for operation, so temperatures stay bit-identical.
     pub fn rk4_step_with(&mut self, dt: f64, workspace: &mut SolverWorkspace) {
-        let n = self.temperatures.len();
         let SolverWorkspace {
             k1,
             k2,
@@ -481,16 +480,22 @@ impl RcNetwork {
         stage.clear();
         stage.extend(t0.iter().zip(k1.iter()).map(|(t, k)| t + 0.5 * dt * k));
         self.derivative_into(stage, k2);
-        for i in 0..n {
-            stage[i] = t0[i] + 0.5 * dt * k2[i];
+        // Each stage loop zips its slices instead of indexing them, so it
+        // carries no bounds checks and vectorizes; every element keeps the
+        // same expression.
+        for ((s, &t), &k) in stage.iter_mut().zip(t0.iter()).zip(k2.iter()) {
+            *s = t + 0.5 * dt * k;
         }
         self.derivative_into(stage, k3);
-        for i in 0..n {
-            stage[i] = t0[i] + dt * k3[i];
+        for ((s, &t), &k) in stage.iter_mut().zip(t0.iter()).zip(k3.iter()) {
+            *s = t + dt * k;
         }
         self.derivative_into(stage, k4);
-        for i in 0..n {
-            self.temperatures[i] = t0[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+        let ks = k1.iter().zip(k2.iter()).zip(k3.iter().zip(k4.iter()));
+        for ((temp, &t), ((&k1, &k2), (&k3, &k4))) in
+            self.temperatures.iter_mut().zip(t0.iter()).zip(ks)
+        {
+            *temp = t + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
         }
     }
 
